@@ -11,6 +11,13 @@
 //! * **retry amplification** — `(acks + retransmissions) / acks`, the
 //!   price of those acks in transmitted attempts.
 //!
+//! With drop rate `p` on each direction a transmission survives the round
+//! trip with probability `(1 − p)²`, so a client that retransmits only
+//! lost frames sends `1/(1 − p)²` attempts per ack. Under `obs` the sweep
+//! fails when any cell exceeds that floor by more than
+//! [`AMPLIFICATION_MARGIN`]: losses must cost waiting time, not extra
+//! retransmissions.
+//!
 //! Every cell also proves the exactly-once invariant from the report
 //! alone: with zero failures, the per-shard applied-op totals must sum to
 //! exactly the issued request count — a drop never loses an acked op and
@@ -38,6 +45,20 @@ pub const CLIENTS: usize = 4;
 
 /// Drop rates swept, in percent.
 pub const DROP_PCT: [u64; 4] = [0, 5, 10, 20];
+
+/// How far a cell's amplification may exceed [`amplification_floor`]:
+/// the spurious retransmits of a timer that fired before a slow reply.
+/// Over 21 sweeps on a 2-vCPU VM the largest excess was +0.017 (a 0 %
+/// cell; +0.014 in a 10 % cell), and the 5 % duplication, which can
+/// deliver a copy of a dropped frame, kept most cells under the floor.
+pub const AMPLIFICATION_MARGIN: f64 = 0.05;
+
+/// Attempts per ack when exactly the lost transmissions are resent: each
+/// survives both directions with probability `(1 − p)²`.
+pub fn amplification_floor(drop_pct: u64) -> f64 {
+    let survive = 1.0 - drop_pct as f64 / 100.0;
+    1.0 / (survive * survive)
+}
 
 /// One cell of the sweep.
 #[derive(Debug, Clone)]
@@ -228,8 +249,9 @@ fn render(rows: &[E13Row]) -> String {
 
 /// Run the sweep, write `BENCH_e13.json` (+ `OBS_e13.json` under `obs`),
 /// and verify the acceptance claims: every cell is exactly-once with zero
-/// failures, and under obs the 20% cell actually dropped frames and
-/// amplified more than the 0% cell. `Err` carries the report on failure.
+/// failures, and under obs the 20% cell actually dropped frames, amplified
+/// more than the 0% cell, and no cell amplified past its analytic floor
+/// plus [`AMPLIFICATION_MARGIN`]. `Err` carries the report on failure.
 pub fn run_checked() -> Result<String, String> {
     let mut metrics = Snapshot::default();
     let rows = measure(&mut metrics);
@@ -266,6 +288,25 @@ pub fn run_checked() -> Result<String, String> {
                 zero.amplification, worst.amplification
             ));
         }
+        for r in &rows {
+            let bound = amplification_floor(r.drop_pct) + AMPLIFICATION_MARGIN;
+            if r.amplification > bound {
+                ok = false;
+                report.push_str(&format!(
+                    "FAIL: {}% drop amplified {:.3}×, above 1/(1-p)² + {AMPLIFICATION_MARGIN} = {bound:.3}\n",
+                    r.drop_pct, r.amplification
+                ));
+            }
+        }
+    }
+    if let [clean, five, ..] = &rows[..] {
+        report.push_str(&format!(
+            "goodput at {}% drop: {:.0} ops/s = {:.2} of the clean row's {:.0}\n",
+            five.drop_pct,
+            five.goodput,
+            five.goodput / clean.goodput,
+            clean.goodput
+        ));
     }
     report.push_str(&format!(
         "acceptance: {} cells exactly-once clean; amplification 0%→20%: {:.3}× → {:.3}×\n",
@@ -277,15 +318,6 @@ pub fn run_checked() -> Result<String, String> {
         Ok(report)
     } else {
         Err(report)
-    }
-}
-
-/// Run the experiment without failing the process on the acceptance check
-/// (interactive `exp e13`).
-pub fn run() -> String {
-    match run_checked() {
-        Ok(report) => report,
-        Err(report) => report + "WARNING: acceptance check failed on this machine\n",
     }
 }
 

@@ -16,9 +16,11 @@
 //! sharding does not pay or `service.route` recorded nothing under obs).
 //!
 //! `exp e13` sweeps the fault plane (goodput and retry amplification vs
-//! drop rate); `exp e13 --smoke` runs one cell under the full lossy
-//! profile and exits non-zero if an acked op was lost or double-applied,
-//! or — under obs — if the shim injected nothing.
+//! drop rate) and exits non-zero if a cell lost or double-applied an acked
+//! op or — under obs — amplified past `1/(1-p)²` plus
+//! `e13_faults::AMPLIFICATION_MARGIN`; `exp e13 --smoke` runs one cell
+//! under the full lossy profile and exits non-zero if an acked op was lost
+//! or double-applied, or — under obs — if the shim injected nothing.
 //!
 //! `exp e14` sweeps the group-commit batch apply (batched vs per-command
 //! commands/sec at several batch caps); `exp e14 --smoke` is the CI arm —
@@ -107,7 +109,13 @@ fn main() {
                     std::process::exit(1);
                 }
             },
-            "e13" => sbu_bench::e13_faults::run(),
+            "e13" => match sbu_bench::e13_faults::run_checked() {
+                Ok(report) => report,
+                Err(report) => {
+                    println!("{report}");
+                    std::process::exit(1);
+                }
+            },
             "e14" if smoke => match sbu_bench::e14_batch::run_smoke() {
                 Ok(report) => report,
                 Err(report) => {

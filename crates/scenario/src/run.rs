@@ -347,8 +347,13 @@ fn service_plane_config(
     };
     // The matrix is not latency-sensitive: give retransmission a long hard
     // deadline so a deeply unlucky loss streak fails loudly at the torture
-    // level rather than spuriously at the wire level.
-    let retry = RetryPolicy::lossy().with_deadline(std::time::Duration::from_secs(60));
+    // level rather than spuriously at the wire level, and a 10 ms timer
+    // floor, far above any round trip here, so a retransmit answers a loss
+    // and never a slow reply: the cells' `service.retry` counts stay a
+    // function of the seed.
+    let retry = RetryPolicy::lossy()
+        .with_attempt_timeout(std::time::Duration::from_millis(10))
+        .with_deadline(std::time::Duration::from_secs(60));
     match backend {
         ScenarioBackend::Service => base,
         ScenarioBackend::ServiceSocket => ServicePlane {

@@ -214,10 +214,10 @@ where
         (false, _) => RetryPolicy::patient(),
         (true, true) => RetryPolicy::lossy(),
         // Timing-off runs feed byte-identical artifacts, where a spurious
-        // retransmission (the 10 ms timer beating a merely slow reply on a
-        // loaded box) would perturb the counters. A dropped reply never
-        // arrives, so a 10× slower timer changes nothing but the
-        // scheduling-noise margin.
+        // retransmission (a timer beating a merely slow reply on a loaded
+        // box) would perturb the counters. A 100 ms floor keeps the timer
+        // far above any round trip; a dropped reply never arrives, so the
+        // slower timer changes nothing but the scheduling-noise margin.
         (true, false) => RetryPolicy::lossy().with_attempt_timeout(Duration::from_millis(100)),
     };
     let mut builder = Service::builder(config.shards)

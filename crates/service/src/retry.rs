@@ -1,5 +1,5 @@
-//! Client-side reliability: per-request deadlines, bounded exponential
-//! backoff with seeded jitter, and the typed error surface.
+//! Client-side reliability: per-request deadlines, the retransmission
+//! timer, and the typed error surface.
 //!
 //! The service keys retransmissions by the `(client, seq)` pair the wire
 //! protocol already carries: a retried request reuses its original `seq`,
@@ -7,26 +7,37 @@
 //! answer it from cache instead of re-applying — that pairing is what
 //! makes the retry loop *exactly-once* end to end.
 //!
-//! Pacing reuses the repo's contention toolkit: waits between
-//! retransmissions grow as a bounded exponential (the same shape as
-//! [`sbu_mem::contention::Backoff`], which paces the in-process shed/busy
-//! spin loop), decorated with deterministic ±25% jitter derived by hashing
-//! `(seed, client, seq, attempt)` — stateless, so no RNG handle has to
-//! thread through the client path and identical runs jitter identically.
+//! When a retransmission fires is decided per client by `Rto`, the
+//! RFC 6298 timer: a smoothed round trip and its variation, fed only by
+//! replies to requests sent exactly once (Karn's rule), floored by
+//! [`RetryPolicy::attempt_timeout`], doubled on every expiry and capped by
+//! [`RetryPolicy::max_attempt_timeout`]. Each timeout carries deterministic
+//! ±25% jitter derived by hashing `(seed, client, seq, attempt)` —
+//! stateless, so no RNG handle has to thread through the client path and
+//! identical runs jitter identically. The client's other loss signal, a
+//! reply that overtook an older request to the same worker, lives in
+//! [`Pending::wait`](crate::Pending::wait).
 
 use crate::wire::WireError;
 use std::time::Duration;
 
-/// Client-side retry policy: how long one attempt may wait, how the wait
-/// grows, and the hard per-request deadline.
+/// Client-side retry policy: the bounds of the retransmission timer and
+/// the hard per-request deadline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
-    /// How long to wait for a reply before retransmitting. `None` means
+    /// The retransmission timer's floor and starting value. `None` means
     /// attempts never time out (only the [`deadline`](Self::deadline)
-    /// bounds the wait) — right for a perfect transport, wrong for a lossy
-    /// one.
+    /// bounds the wait) and the client keeps no timer state at all —
+    /// right for a perfect transport, wrong for a lossy one.
+    ///
+    /// With `Some(floor)`, each client runs an RFC 6298 timer: before its
+    /// first round-trip sample the timeout is `floor`; after it, `SRTT +
+    /// 4·RTTVAR`, never below `floor`. Every expiry doubles the timeout
+    /// (up to [`max_attempt_timeout`](Self::max_attempt_timeout)) until
+    /// the next valid sample, and each transmission's timer runs from its
+    /// own send instant.
     pub attempt_timeout: Option<Duration>,
-    /// Ceiling for the per-attempt timeout as it doubles.
+    /// Ceiling for the timer as it backs off (a floor above it wins).
     pub max_attempt_timeout: Duration,
     /// Hard per-request deadline: when it expires the call returns a typed
     /// error instead of blocking forever.
@@ -50,11 +61,14 @@ impl RetryPolicy {
         }
     }
 
-    /// The lossy-transport policy: retransmit after 10 ms, doubling to a
-    /// 160 ms ceiling, give up after 10 s.
+    /// The lossy-transport policy: a measured-round-trip timer floored at
+    /// 250 µs, backing off to a 160 ms ceiling, giving up after 10 s.
+    /// Most losses never wait for the timer: a reply that overtakes an
+    /// older request to the same worker retransmits it at once (see
+    /// [`Pending::wait`](crate::Pending::wait)).
     pub const fn lossy() -> Self {
         Self {
-            attempt_timeout: Some(Duration::from_millis(10)),
+            attempt_timeout: Some(Duration::from_micros(250)),
             max_attempt_timeout: Duration::from_millis(160),
             deadline: Duration::from_secs(10),
             backoff_limit: sbu_mem::contention::Backoff::DEFAULT_LIMIT,
@@ -67,30 +81,13 @@ impl RetryPolicy {
         self
     }
 
-    /// This policy with a different initial attempt timeout.
+    /// This policy with a different timer floor (which is also the
+    /// timer's value before the first round-trip sample). A floor above
+    /// [`max_attempt_timeout`](Self::max_attempt_timeout) pins the timer
+    /// at the floor.
     pub const fn with_attempt_timeout(mut self, timeout: Duration) -> Self {
         self.attempt_timeout = Some(timeout);
         self
-    }
-
-    /// The timeout for attempt number `attempt` (1-based): the base
-    /// doubles per retransmission up to
-    /// [`max_attempt_timeout`](Self::max_attempt_timeout), then ±25%
-    /// deterministic jitter keyed on `(seed, client, seq, attempt)` is
-    /// applied so a fleet of clients that timed out together does not
-    /// retransmit in lockstep. `None` when attempts never time out.
-    pub fn attempt_timeout(
-        &self,
-        attempt: u32,
-        seed: u64,
-        client: u32,
-        seq: u64,
-    ) -> Option<Duration> {
-        let base = self.attempt_timeout?;
-        let grown = base
-            .saturating_mul(1u32 << (attempt - 1).min(16))
-            .min(self.max_attempt_timeout);
-        Some(jittered(grown, seed, client, seq, attempt))
     }
 }
 
@@ -98,6 +95,82 @@ impl Default for RetryPolicy {
     fn default() -> Self {
         Self::patient()
     }
+}
+
+/// One client's retransmission timer (RFC 6298 with Karn's rule).
+///
+/// `SRTT` and `RTTVAR` follow §2 with α = 1/8 and β = 1/4 in integer
+/// nanoseconds; the timeout is `SRTT + 4·RTTVAR` clamped to
+/// `[attempt_timeout, max_attempt_timeout]`. The caller reports every
+/// reply to [`sample`](Self::sample), which keeps only those to requests
+/// transmitted once, and calls [`back_off`](Self::back_off) on every
+/// expiry; the doubled value stands until the next kept sample.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Rto {
+    /// Smoothed round trip (ns); `None` until the first sample.
+    srtt: Option<u64>,
+    /// Round-trip variation (ns).
+    rttvar: u64,
+    /// The current timeout before jitter (ns).
+    rto: u64,
+    floor: u64,
+    ceiling: u64,
+}
+
+impl Rto {
+    /// The timer `policy` asks for, or `None` when its attempts never time
+    /// out.
+    pub(crate) fn new(policy: &RetryPolicy) -> Option<Self> {
+        let floor = nanos(policy.attempt_timeout?);
+        Some(Self {
+            srtt: None,
+            rttvar: 0,
+            rto: floor,
+            floor,
+            ceiling: nanos(policy.max_attempt_timeout).max(floor),
+        })
+    }
+
+    /// Fold the round trip of a reply to a request sent `transmissions`
+    /// times into the estimate and recompute the timeout, ending any
+    /// backoff. Karn's rule: a reply to a retransmitted request cannot say
+    /// which transmission it answers, so it is ignored.
+    pub(crate) fn sample(&mut self, rtt: Duration, transmissions: u32) {
+        if transmissions != 1 {
+            return;
+        }
+        let r = nanos(rtt);
+        let (srtt, rttvar) = match self.srtt {
+            None => (r, r / 2),
+            // RTTVAR uses the SRTT from before this sample (§2.3).
+            Some(srtt) => (
+                srtt - srtt / 8 + r / 8,
+                self.rttvar - self.rttvar / 4 + srtt.abs_diff(r) / 4,
+            ),
+        };
+        self.srtt = Some(srtt);
+        self.rttvar = rttvar;
+        self.rto = srtt
+            .saturating_add(rttvar.saturating_mul(4))
+            .clamp(self.floor, self.ceiling);
+    }
+
+    /// An expiry: double the timeout, up to the ceiling (§5.5).
+    pub(crate) fn back_off(&mut self) {
+        self.rto = self.rto.saturating_mul(2).min(self.ceiling);
+    }
+
+    /// The timeout for transmission `attempt` (1-based) of `(client, seq)`:
+    /// the current value with ±25% jitter keyed on the retry coordinates,
+    /// so a fleet of clients that timed out together does not retransmit
+    /// in lockstep.
+    pub(crate) fn timeout(&self, seed: u64, client: u32, seq: u64, attempt: u32) -> Duration {
+        jittered(Duration::from_nanos(self.rto), seed, client, seq, attempt)
+    }
+}
+
+fn nanos(d: Duration) -> u64 {
+    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 
 /// `duration` ± 25%, decided by hashing the retry coordinates (splitmix64).
@@ -253,40 +326,146 @@ pub(crate) fn deadline_error(
 mod tests {
     use super::*;
 
+    const US: Duration = Duration::from_micros(1);
+
+    fn timer(floor_us: u32, ceiling_us: u32) -> Rto {
+        let policy = RetryPolicy::lossy()
+            .with_attempt_timeout(US * floor_us)
+            .with_deadline(Duration::from_secs(1));
+        Rto::new(&RetryPolicy {
+            max_attempt_timeout: US * ceiling_us,
+            ..policy
+        })
+        .expect("a floor means a timer")
+    }
+
+    /// The un-jittered timeout, in µs.
+    fn rto_us(t: &Rto) -> u64 {
+        t.rto / 1_000
+    }
+
+    impl Rto {
+        /// A round trip of `us` µs for a request sent once.
+        fn sample_us(&mut self, us: u32) {
+            self.sample(US * us, 1);
+        }
+    }
+
     #[test]
     fn patient_policy_never_retransmits_but_has_a_deadline() {
         let p = RetryPolicy::patient();
-        assert_eq!(p.attempt_timeout(1, 0, 0, 0), None);
+        assert_eq!(Rto::new(&p), None, "no floor, no timer state");
         assert_eq!(p.deadline, Duration::from_secs(30));
         assert_eq!(RetryPolicy::default(), p);
     }
 
     #[test]
-    fn lossy_timeouts_grow_to_the_cap_with_bounded_jitter() {
-        let p = RetryPolicy::lossy();
-        let mut last = Duration::ZERO;
-        for attempt in 1..=10 {
-            let t = p.attempt_timeout(attempt, 7, 3, 100).unwrap();
-            let nominal = Duration::from_millis(10)
-                .saturating_mul(1 << (attempt - 1))
-                .min(p.max_attempt_timeout);
-            // Jitter stays within ±25% of the nominal value.
-            assert!(t >= nominal - nominal / 4, "attempt {attempt}: {t:?}");
-            assert!(t <= nominal + nominal / 4, "attempt {attempt}: {t:?}");
-            assert!(t >= last.min(nominal - nominal / 4));
-            last = t;
+    fn the_floor_is_the_starting_value() {
+        let t = Rto::new(&RetryPolicy::lossy()).unwrap();
+        assert_eq!(t.rto, 250_000, "lossy() starts at its 250 µs floor");
+        assert_eq!(t.srtt, None);
+        assert_eq!(rto_us(&timer(10_000, 160_000)), 10_000);
+    }
+
+    #[test]
+    fn samples_follow_rfc_6298_arithmetic() {
+        // Floor 1 µs so the clamp stays out of the way.
+        let mut t = timer(1, 1_000_000);
+        // First sample R: SRTT = R, RTTVAR = R/2, RTO = SRTT + 4·RTTVAR.
+        t.sample_us(800);
+        assert_eq!((t.srtt, t.rttvar), (Some(800_000), 400_000));
+        assert_eq!(rto_us(&t), 800 + 4 * 400);
+        // Then RTTVAR = 3/4·RTTVAR + 1/4·|SRTT − R| (old SRTT), and
+        // SRTT = 7/8·SRTT + 1/8·R.
+        t.sample_us(1_600);
+        assert_eq!((t.srtt, t.rttvar), (Some(900_000), 500_000));
+        assert_eq!(rto_us(&t), 900 + 4 * 500);
+        t.sample_us(100);
+        assert_eq!((t.srtt, t.rttvar), (Some(800_000), 575_000));
+        assert_eq!(rto_us(&t), 800 + 4 * 575);
+        // A steady round trip shrinks the variation geometrically.
+        for _ in 0..200 {
+            t.sample_us(800);
+        }
+        assert_eq!(t.srtt, Some(800_000));
+        assert!(t.rttvar < 1_000, "rttvar {} ns", t.rttvar);
+    }
+
+    #[test]
+    fn the_timeout_is_clamped_to_floor_and_ceiling() {
+        let mut t = timer(500, 4_000);
+        t.sample_us(10);
+        assert_eq!(rto_us(&t), 500, "a fast path never undercuts the floor");
+        t.sample_us(50_000);
+        assert_eq!(rto_us(&t), 4_000, "a slow sample is capped");
+        // A floor above the ceiling wins.
+        let mut pinned = timer(5_000_000, 160_000);
+        assert_eq!(rto_us(&pinned), 5_000_000);
+        pinned.back_off();
+        assert_eq!(rto_us(&pinned), 5_000_000);
+    }
+
+    #[test]
+    fn backoff_doubles_and_holds_until_the_next_sample() {
+        let mut t = timer(500, 160_000);
+        t.sample_us(400);
+        assert_eq!(rto_us(&t), 400 + 4 * 200);
+        for want in [
+            2_400, 4_800, 9_600, 19_200, 38_400, 76_800, 153_600, 160_000, 160_000,
+        ] {
+            t.back_off();
+            assert_eq!(rto_us(&t), want);
+            // Nothing but a sample brings it back: asking for timeouts
+            // (any attempt, any request) leaves the backed-off value.
+            let _ = t.timeout(7, 1, 9, 2);
+            assert_eq!(rto_us(&t), want);
+        }
+        // The next valid sample recomputes from SRTT/RTTVAR.
+        t.sample_us(400);
+        assert_eq!(rto_us(&t), 400 + 4 * 150);
+    }
+
+    #[test]
+    fn karn_a_retransmitted_request_feeds_no_sample() {
+        let mut t = timer(500, 160_000);
+        t.sample_us(800);
+        t.back_off();
+        let held = t;
+        // The reply to a request sent twice is ambiguous: no sample, and
+        // the backoff stands.
+        t.sample(US * 9_000, 2);
+        assert_eq!(t, held);
+        t.sample(US * 100, 3);
+        assert_eq!(t, held);
+        // The next request sent once is sampled and ends the backoff.
+        t.sample_us(800);
+        assert_eq!(t.srtt, Some(800_000));
+        assert_eq!(rto_us(&t), 800 + 4 * 300);
+    }
+
+    #[test]
+    fn jitter_stays_within_a_quarter_of_the_timeout() {
+        let mut t = timer(500, 160_000);
+        for round in 0..12u32 {
+            let nominal = Duration::from_nanos(t.rto);
+            for seq in 0..64 {
+                let d = t.timeout(7, 3, seq, round + 1);
+                assert!(d >= nominal - nominal / 4, "{d:?} vs {nominal:?}");
+                assert!(d <= nominal + nominal / 4, "{d:?} vs {nominal:?}");
+            }
+            t.back_off();
         }
     }
 
     #[test]
     fn jitter_is_deterministic_and_keyed() {
-        let p = RetryPolicy::lossy();
-        let a = p.attempt_timeout(3, 42, 1, 9).unwrap();
-        assert_eq!(p.attempt_timeout(3, 42, 1, 9).unwrap(), a);
+        let t = Rto::new(&RetryPolicy::lossy()).unwrap();
+        let a = t.timeout(42, 1, 9, 3);
+        assert_eq!(t.timeout(42, 1, 9, 3), a);
         // Different coordinates draw different jitter (with overwhelming
         // probability; these particular points do differ).
-        let b = p.attempt_timeout(3, 42, 2, 9).unwrap();
-        let c = p.attempt_timeout(4, 42, 1, 9).unwrap();
+        let b = t.timeout(42, 2, 9, 3);
+        let c = t.timeout(42, 1, 9, 4);
         assert!(a != b || a != c, "jitter ignores its key");
     }
 

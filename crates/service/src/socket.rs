@@ -71,6 +71,17 @@ impl Conn {
         }
     }
 
+    /// One read that returns `WouldBlock` instead of waiting.
+    fn read_now(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let set = |conn: &Conn, on: bool| match conn {
+            Conn::Tcp(s) => s.set_nonblocking(on),
+            Conn::Unix(s) => s.set_nonblocking(on),
+        };
+        set(self, true)?;
+        let read = self.read(buf);
+        set(self, false).and(read)
+    }
+
     fn shutdown_both(&self) {
         let _ = match self {
             Conn::Tcp(s) => s.shutdown(Shutdown::Both),
@@ -554,6 +565,7 @@ impl ClientConn for SocketConn {
     }
 
     fn recv_until(&mut self, until: Instant) -> ConnEvent {
+        let mut polled = false;
         loop {
             // Drain anything already buffered before touching the socket.
             match self.dec.next_frame() {
@@ -568,16 +580,31 @@ impl ClientConn for SocketConn {
                 }
             }
             let now = Instant::now();
-            if now >= until {
-                return ConnEvent::Timeout;
-            }
-            let Some(conn) = self.ensure_stream() else {
-                return ConnEvent::Disconnected;
-            };
-            let window = (until - now).min(READ_POLL).max(Duration::from_millis(1));
-            let _ = conn.set_read_timeout(Some(window));
             let mut buf = [0u8; 16 * 1024];
-            match conn.read(&mut buf) {
+            let read = if now >= until {
+                // Past the deadline, a reply may still sit in the socket
+                // buffer: take it with one non-blocking read, so an expired
+                // timer never retransmits a request whose reply has come.
+                match self.stream.as_mut() {
+                    Some(conn) if !polled => {
+                        polled = true;
+                        conn.read_now(&mut buf)
+                    }
+                    _ => return ConnEvent::Timeout,
+                }
+            } else {
+                let Some(conn) = self.ensure_stream() else {
+                    return ConnEvent::Disconnected;
+                };
+                // SO_RCVTIMEO is rounded to kernel ticks: with no byte
+                // arriving, even a 1 ms window blocks a tick or two (8 ms
+                // at 250 Hz), so a shorter timer is noticed late here
+                // unless another frame wakes the read first.
+                let window = (until - now).min(READ_POLL).max(Duration::from_millis(1));
+                let _ = conn.set_read_timeout(Some(window));
+                conn.read(&mut buf)
+            };
+            match read {
                 Ok(0) => {
                     self.poison();
                     return ConnEvent::Disconnected;

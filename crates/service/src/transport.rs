@@ -171,7 +171,10 @@ pub trait ClientConn: Send {
     /// frames itself.
     fn send(&mut self, worker: usize, delivery: Delivery) -> SendOutcome;
 
-    /// Wait for the next reply-stream event, at most until `until`.
+    /// Wait for the next reply-stream event, at most until `until`. A
+    /// frame the connection already holds is returned even when `until`
+    /// has passed: the retry loop relies on this, so that an expired timer
+    /// never retransmits a request whose reply has arrived.
     fn recv_until(&mut self, until: Instant) -> ConnEvent;
 
     /// Re-establish the connection after [`ConnEvent::Disconnected`].

@@ -12,11 +12,21 @@
 //! socket** with the byte-level stream faults — corruption and mid-frame
 //! disconnects at ≥ 10% — so reconnect-and-retransmit is exercised against
 //! actual kernel streams, not in-process queues.
+//!
+//! Both drive the closed-loop `call`, where a request never has a later
+//! request to the same worker in flight. The pipelined properties keep
+//! 2–8 requests in flight per client (`submit`, then `wait` on the oldest),
+//! in-process and over a Unix socket, so the client's FIFO loss signal —
+//! retransmit an older request once a later one's reply overtakes it —
+//! fires under the same faults, spuriously too whenever reordering or
+//! delay overtakes a reply that was not lost.
 
 use proptest::prelude::*;
 use sbu_service::{FaultProfile, RetryPolicy, Service, TransportConfig};
 use sbu_spec::specs::{CounterOp, CounterSpec};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::{Duration, Instant};
 
 /// A loss-heavy profile with every honest fault at or above 10%.
 fn heavy(drop: f64, duplicate: f64, reorder: f64, disconnect: f64) -> FaultProfile {
@@ -29,6 +39,66 @@ fn heavy(drop: f64, duplicate: f64, reorder: f64, disconnect: f64) -> FaultProfi
         disconnect,
         lie: 0.0,
     }
+}
+
+/// One pipelined case: a 4-shard, 2-worker service on `transport` under
+/// drop, duplication and reordering at the given permille plus 10%
+/// corruption and delay. Each client issues `per_client` increments with
+/// up to `depth` in flight, waiting on the oldest first; returns the
+/// counters read back, summed over `keys`.
+fn pipelined_total(
+    transport: TransportConfig,
+    seed: u64,
+    clients: usize,
+    per_client: usize,
+    keys: u64,
+    depth: usize,
+    (drop_pm, duplicate_pm, reorder_pm): (u64, u64, u64),
+) -> u64 {
+    let profile = FaultProfile {
+        delay: 0.10,
+        ..heavy(
+            drop_pm as f64 / 1000.0,
+            duplicate_pm as f64 / 1000.0,
+            reorder_pm as f64 / 1000.0,
+            0.0,
+        )
+    };
+    let mut svc = Service::builder(4)
+        .workers(2)
+        .clients(clients)
+        .transport(transport)
+        .fault(profile)
+        .retry(RetryPolicy::lossy().with_deadline(Duration::from_secs(60)))
+        .seed(seed)
+        .build(CounterSpec::new());
+    std::thread::scope(|scope| {
+        for client in 0..clients {
+            let svc = &svc;
+            scope.spawn(move || {
+                let handle = svc.client(client);
+                let wait = |pending: sbu_service::Pending<'_, CounterSpec>| {
+                    let seq = pending.seq();
+                    pending
+                        .wait(Instant::now() + Duration::from_secs(60))
+                        .unwrap_or_else(|e| panic!("client {client} seq {seq}: {e}"));
+                };
+                let mut window = VecDeque::with_capacity(depth);
+                for i in 0..per_client as u64 {
+                    window.push_back(handle.submit(i % keys, &CounterOp::Inc));
+                    if window.len() == depth {
+                        wait(window.pop_front().expect("window is full"));
+                    }
+                }
+                window.into_iter().for_each(wait);
+            });
+        }
+    });
+    let total = (0..keys)
+        .map(|key| svc.client(0).call(key, &CounterOp::Read).expect("read"))
+        .sum();
+    svc.shutdown();
+    total
 }
 
 /// A scratch Unix-socket path unique across the test binary's threads.
@@ -183,5 +253,69 @@ proptest! {
                 "disconnects must force reconnects (accepts beyond the initial dials)"
             );
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig {
+        cases: 12,
+        ..ProptestConfig::default()
+    })]
+
+    /// Pipelined: N acked increments ⇒ counter reads exactly N with 2–8
+    /// requests in flight per client, under drop, duplication and
+    /// reordering at 10–20% and corruption and delay at 10%.
+    #[test]
+    fn pipelined_increments_apply_exactly_once(
+        seed in any::<u64>(),
+        clients in 1usize..4,
+        per_client in 20usize..49,
+        keys in 1u64..7,
+        depth in 2usize..9,
+        drop_pm in 100u64..201,
+        duplicate_pm in 100u64..201,
+        reorder_pm in 100u64..201,
+    ) {
+        let rates = (drop_pm, duplicate_pm, reorder_pm);
+        let total =
+            pipelined_total(TransportConfig::InProcess, seed, clients, per_client, keys, depth, rates);
+        prop_assert_eq!(
+            total,
+            (clients * per_client) as u64,
+            "every acked increment must count exactly once (seed {})",
+            seed
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig {
+        cases: 6,
+        ..ProptestConfig::default()
+    })]
+
+    /// The pipelined contract over a real Unix socket, same fault rates.
+    #[test]
+    fn pipelined_socket_increments_apply_exactly_once(
+        seed in any::<u64>(),
+        clients in 1usize..3,
+        per_client in 20usize..49,
+        keys in 1u64..7,
+        depth in 2usize..9,
+        drop_pm in 100u64..201,
+        duplicate_pm in 100u64..201,
+        reorder_pm in 100u64..201,
+    ) {
+        let path = scratch_socket();
+        let rates = (drop_pm, duplicate_pm, reorder_pm);
+        let unix = TransportConfig::Unix(path.clone());
+        let total = pipelined_total(unix, seed, clients, per_client, keys, depth, rates);
+        let _ = std::fs::remove_file(&path);
+        prop_assert_eq!(
+            total,
+            (clients * per_client) as u64,
+            "acked increments over a faulty socket must count exactly once (seed {})",
+            seed
+        );
     }
 }

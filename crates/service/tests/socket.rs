@@ -1,14 +1,19 @@
 //! The socket transport end to end: TCP and Unix-domain loopback through
 //! the real kernel, the per-connection blast radius of a poisoned byte
-//! stream, determinism of socket-backed load reports, and the
-//! cross-client misrouting regression (a reordering fault plane carrying
-//! one client's frames over another client's stream).
+//! stream, determinism of socket-backed load reports, the cross-client
+//! misrouting regression (a reordering fault plane carrying one client's
+//! frames over another client's stream), and a held reply winning over an
+//! expired deadline.
 
 use sbu_service::loadgen::{self, LoadgenConfig};
-use sbu_service::{FaultProfile, RetryPolicy, Service, TransportConfig};
+use sbu_service::{
+    request_frame, response_frame, ClientConn, ConnEvent, Delivery, FaultProfile, RetryPolicy,
+    Service, SocketConn, TransportConfig,
+};
 use sbu_spec::specs::{CounterOp, CounterSpec};
 use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::{Duration, Instant};
 
 /// A scratch Unix-socket path unique across the test binary's threads.
 fn scratch_socket(tag: &str) -> std::path::PathBuf {
@@ -179,4 +184,33 @@ fn reordering_across_clients_keeps_replies_exact() {
     svc.shutdown();
     let _ = std::fs::remove_file(&path);
     assert_eq!(total, 240, "cross-client reordering must stay exactly-once");
+}
+
+#[test]
+fn a_held_reply_beats_an_expired_deadline() {
+    // The retry loop asks for the next frame with an already-expired
+    // deadline when its timer has run out. A reply sitting in the socket
+    // buffer must still come back, or the client would retransmit a
+    // request that was answered.
+    let path = scratch_socket("held");
+    let listener = std::os::unix::net::UnixListener::bind(&path).expect("bind");
+    let mut conn = SocketConn::dial(format!("unix://{}", path.display()), 0);
+    let req = request_frame::<CounterSpec>(0, 7, 1, &CounterOp::Inc);
+    conn.send(0, Delivery::Intact(req.to_bytes())); // dials
+    let (mut server, _) = listener.accept().expect("accept");
+    let reply = response_frame::<CounterSpec>(&req, &1).to_bytes();
+    // A Unix stream write lands in the peer's receive queue before it
+    // returns, so the reply is held by the time the client looks.
+    server.write_all(&reply).expect("write reply");
+    match conn.recv_until(Instant::now()) {
+        ConnEvent::Frame(frame) => assert_eq!((frame.seq, frame.key), (7, 1)),
+        other => panic!("a held reply lost to the deadline: {other:?}"),
+    }
+    let start = Instant::now();
+    assert!(matches!(conn.recv_until(start), ConnEvent::Timeout));
+    assert!(
+        start.elapsed() < Duration::from_secs(1),
+        "nothing held: no wait"
+    );
+    let _ = std::fs::remove_file(&path);
 }

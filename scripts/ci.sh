@@ -127,6 +127,9 @@ grep -Eq '"service\.inject\.drop": [1-9]' OBS_e13.json || {
     exit 1
 }
 
+step "fault-plane sweep (exp e13 under obs: exactly-once, amplification within 1/(1-p)^2 + margin at every drop rate)"
+cargo run --release --quiet --offline --features obs -p sbu-bench --bin exp -- e13
+
 step "group-commit smoke (exp e14 --smoke: batched must not lose to per-command at 4 threads)"
 rm -f OBS_e14.json
 cargo run --release --quiet --offline --features obs -p sbu-bench --bin exp -- e14 --smoke >/dev/null
