@@ -3,8 +3,8 @@
 //! E12 measured the sharded service on a perfect wire. E13 measures what
 //! the reliability layer costs when the wire is not perfect: a closed-loop
 //! increment-only counter workload under a seeded [`FaultProfile`] whose
-//! drop rate sweeps 0% → 20% while duplication and reordering stay fixed
-//! at 5% each. Two numbers per cell:
+//! drop rate sweeps 0% → 20% while duplication stays fixed at 5%. Two
+//! numbers per cell:
 //!
 //! * **goodput** — acked requests per second (every ack is an applied op,
 //!   so this is useful work, not wire traffic);
@@ -94,14 +94,13 @@ pub struct E13Row {
     pub exit: ExitStatus,
 }
 
-/// The swept profile: drop varies, duplication and reordering are pinned
-/// at 5% so the dedup window is always exercised, corruption and delay
-/// stay off (they are covered by the scenario matrix and E13's smoke arm).
+/// The swept profile: drop varies, duplication is pinned at 5% so the
+/// dedup window is always exercised, corruption and delay stay off (they
+/// are covered by the scenario matrix and E13's smoke arm).
 pub fn profile(drop_pct: u64) -> FaultProfile {
     FaultProfile {
         drop: drop_pct as f64 / 100.0,
         duplicate: 0.05,
-        reorder: 0.05,
         corrupt: 0.0,
         delay: 0.0,
         disconnect: 0.0,
@@ -188,7 +187,6 @@ pub fn to_json(rows: &[E13Row], ops_per_client: usize) -> Json {
         ("ops_per_client", Json::Num(ops_per_client as f64)),
         ("mode", Json::Str("closed".into())),
         ("duplicate", Json::Num(0.05)),
-        ("reorder", Json::Num(0.05)),
         (
             "rows",
             Json::Arr(
@@ -239,7 +237,7 @@ fn render(rows: &[E13Row]) -> String {
         })
         .collect();
     render_table(
-        "E13  goodput and retry amplification vs drop rate (closed loop, inc-only, dup/reorder 5%)",
+        "E13  goodput and retry amplification vs drop rate (closed loop, inc-only, dup 5%)",
         &[
             "drop", "ops", "goodput", "retries", "dropped", "amplif", "fail", "exact", "exit",
         ],
@@ -322,7 +320,7 @@ pub fn run_checked() -> Result<String, String> {
 }
 
 /// The CI smoke: one cell under the full honest lossy profile
-/// ([`FaultProfile::lossy`]: 10% drop/dup/reorder/corrupt, 5% delay),
+/// ([`FaultProfile::lossy`]: 10% drop/dup/corrupt, 5% delay),
 /// asserting zero lost acked ops and — under obs — that drops actually
 /// fired and were retransmitted. `Err` carries the report on failure.
 pub fn run_smoke() -> Result<String, String> {

@@ -13,7 +13,7 @@
 //! profile ([`FaultProfile::lossy`]) to pin the reliability claim on a
 //! real wire: retransmission plus `(client, seq)` dedup keeps acked ops
 //! exactly-once (per-shard applied totals sum to the acked count) even
-//! when frames are dropped, duplicated, reordered, and corrupted between
+//! when frames are dropped, duplicated, delayed, and corrupted between
 //! two kernel endpoints.
 //!
 //! Artifacts: `BENCH_e15.json` and, under `obs`, `OBS_e15.json` (the Unix

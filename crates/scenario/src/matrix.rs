@@ -84,8 +84,9 @@ pub enum ScenarioBackend {
     /// under the linearizability microscope. Honest; expected **pass**.
     Service,
     /// The service runtime behind a seeded lossy transport
-    /// (`FaultProfile::lossy`): frames are dropped, duplicated, reordered,
-    /// corrupted and delayed; clients retransmit with backoff and the
+    /// (`FaultProfile::lossy`): frames are dropped, duplicated, corrupted
+    /// and delayed (a delayed frame goes out behind the next one, the
+    /// wire's only reordering); clients retransmit with backoff and the
     /// workers' dedup windows keep every acked op exactly-once. Volatile
     /// shards, no kills (a volatile respawn loses acked state by design,
     /// which the monitor would rightly flag — that contract is pinned in

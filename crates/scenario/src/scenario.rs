@@ -202,8 +202,8 @@ pub fn all() -> Vec<Scenario> {
         Scenario {
             name: "lossy-transport",
             about: "honest clients over a seeded lossy wire: drops, dups, \
-                    reorders, corruption and delays — retries and dedup must \
-                    make it exactly-once",
+                    corruption and delays (which reorder) — retries and dedup \
+                    must make it exactly-once",
             phases: vec![Phase {
                 threads: 3,
                 ops_per_thread: 24,

@@ -18,6 +18,8 @@
 //!   which the same dedup window makes safe over a real socket;
 //! * `Busy`/`Unavailable` control frames back the client off and
 //!   retransmit, and surface as their typed errors only at the deadline.
+//!   Every shed, on every transport, is a `Busy` frame `wait` receives
+//!   (`service.shed`).
 //!
 //! Under a policy with an attempt timeout, `wait` retransmits on two
 //! signals. The first needs no clock: a client's requests to one worker
@@ -35,10 +37,8 @@
 use crate::retry::{deadline_error, RetryPolicy, Rto, ServiceError};
 use crate::route::ShardMap;
 use crate::server::ServiceObs;
-use crate::transport::{ClientConn, ConnEvent, Delivery, SendOutcome};
-use crate::wire::{
-    control_frame, request_frame, Frame, WireCodec, KIND_BUSY, KIND_RESPONSE, KIND_UNAVAILABLE,
-};
+use crate::transport::{ClientConn, ConnEvent, Delivery};
+use crate::wire::{request_frame, Frame, WireCodec, KIND_BUSY, KIND_RESPONSE, KIND_UNAVAILABLE};
 use parking_lot::Mutex;
 use sbu_mem::contention::Backoff;
 use std::collections::VecDeque;
@@ -128,110 +128,29 @@ impl<S: WireCodec> ServiceClient<S> {
     }
 
     /// Send `op` toward the object at `key` without waiting, returning a
-    /// typed handle for the eventual reply. The request goes out once here
-    /// (best-effort — a local shed is absorbed and resent by `wait`);
+    /// typed handle for the eventual reply. The request goes out once here;
     /// retransmission, backoff, and reconnect all live in
     /// [`Pending::wait`].
     pub fn submit(&self, key: u64, op: &S::Op) -> Pending<'_, S> {
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
         let bytes = request_frame::<S>(self.id, seq, key, op).to_bytes();
         let worker = self.worker_of(key);
-        let sent = {
-            let mut inner = self.inner.lock();
-            match inner.conn.send(worker, Delivery::Intact(bytes.clone())) {
-                SendOutcome::Sent => true,
-                SendOutcome::Shed => {
-                    self.obs.shed.incr(self.lane);
-                    false
-                }
-            }
-        };
+        self.inner
+            .lock()
+            .conn
+            .send(worker, Delivery::Intact(bytes.clone()));
         Pending {
             client: self,
             seq,
             worker,
             bytes,
-            sent,
-            sent_at: (sent && self.retry.attempt_timeout.is_some()).then(Instant::now),
+            sent_at: self.retry.attempt_timeout.is_some().then(Instant::now),
         }
     }
 
     /// The worker that owns `key` (the inbox its requests queue in).
     fn worker_of(&self, key: u64) -> usize {
         self.map.shard_of(key) % self.workers
-    }
-
-    /// Fire-and-account: post a request without a [`Pending`] handle; the
-    /// reply is collected positionally with [`take_next`](Self::take_next)
-    /// (a shed post stashes a synthetic `Busy` so accounting stays 1:1).
-    /// No retransmission happens on this path — it backs the in-process
-    /// load generator's open loop, which requires a trusted transport.
-    pub(crate) fn post_once(&self, key: u64, op: &S::Op) -> u64 {
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        let req = request_frame::<S>(self.id, seq, key, op);
-        let worker = self.worker_of(key);
-        let mut inner = self.inner.lock();
-        if inner.conn.send(worker, Delivery::Intact(req.to_bytes())) == SendOutcome::Shed {
-            self.obs.shed.incr(self.lane);
-            // Synthesized locally so every post still has exactly one
-            // reply; it never crossed the transport.
-            inner
-                .stash
-                .push_back((control_frame(&req, KIND_BUSY), None));
-        }
-        seq
-    }
-
-    /// Take the next reply in arrival order (pairs with
-    /// [`post_once`](Self::post_once); no sequence matching). `Busy` and
-    /// `Unavailable` controls surface as their typed errors; waits at most
-    /// the retry policy's deadline.
-    pub(crate) fn take_next(&self) -> Result<S::Resp, ServiceError> {
-        let deadline = Instant::now() + self.retry.deadline;
-        let mut inner = self.inner.lock();
-        loop {
-            let frame = match inner.stash.pop_front() {
-                Some((frame, _)) => frame,
-                None => match inner.conn.recv_until(deadline) {
-                    ConnEvent::Frame(frame) => frame,
-                    ConnEvent::Garbled => {
-                        self.obs.garbled.incr(self.lane);
-                        continue;
-                    }
-                    ConnEvent::Timeout => {
-                        return Err(ServiceError::Deadline {
-                            client: self.id,
-                            seq: 0,
-                            attempts: 1,
-                        })
-                    }
-                    ConnEvent::Disconnected => {
-                        if Instant::now() >= deadline {
-                            return Err(ServiceError::Deadline {
-                                client: self.id,
-                                seq: 0,
-                                attempts: 1,
-                            });
-                        }
-                        inner.conn.reconnect();
-                        continue;
-                    }
-                },
-            };
-            return match frame.kind {
-                KIND_BUSY => Err(ServiceError::Busy {
-                    client: self.id,
-                    seq: frame.seq,
-                    attempts: 1,
-                }),
-                KIND_UNAVAILABLE => Err(ServiceError::Unavailable {
-                    client: self.id,
-                    seq: frame.seq,
-                    attempts: 1,
-                }),
-                _ => S::decode_resp(&frame.payload).map_err(Into::into),
-            };
-        }
     }
 }
 
@@ -244,8 +163,6 @@ pub struct Pending<'a, S: WireCodec> {
     seq: u64,
     worker: usize,
     bytes: Vec<u8>,
-    /// Whether `submit` transmitted the request (it was not shed).
-    sent: bool,
     /// When `submit` transmitted it; recorded only when the client runs a
     /// timer.
     sent_at: Option<Instant>,
@@ -258,9 +175,9 @@ impl<'a, S: WireCodec> Pending<'a, S> {
     }
 
     /// Block until the reply arrives or `deadline` passes, retransmitting
-    /// through shed rejections, `Busy`/`Unavailable` controls, garbled
-    /// replies, and connection drops (reconnect, then retransmit — safe
-    /// under the server's `(client, seq)` dedup window).
+    /// through `Busy`/`Unavailable` controls, garbled replies, and
+    /// connection drops (reconnect, then retransmit — safe under the
+    /// server's `(client, seq)` dedup window).
     ///
     /// Under a policy with an attempt timeout, a lost request or reply is
     /// retransmitted as soon as its loss is proven — while `submit`'s
@@ -272,38 +189,20 @@ impl<'a, S: WireCodec> Pending<'a, S> {
         let c = self.client;
         let mut inner = c.inner.lock();
         let ClientInner { conn, stash, rto } = &mut *inner;
-        let mut attempts: u32 = u32::from(self.sent);
+        let mut attempts: u32 = 1;
         let mut sent_at = self.sent_at;
         let mut last_control: Option<u8> = None;
-        let mut backoff = Backoff::with_limit(c.retry.backoff_limit);
-        let mut pending_send = !self.sent;
+        let mut backoff = Backoff::new();
+        let mut pending_send = false;
 
         'attempt: loop {
             if pending_send {
-                // Send, shedding-aware: a watermark rejection is a local
-                // Busy — spin down and retry until the deadline intervenes.
-                loop {
-                    if Instant::now() >= deadline {
-                        return Err(deadline_error(
-                            c.id,
-                            self.seq,
-                            attempts.max(1),
-                            last_control,
-                        ));
-                    }
-                    match conn.send(self.worker, Delivery::Intact(self.bytes.clone())) {
-                        SendOutcome::Sent => break,
-                        SendOutcome::Shed => {
-                            c.obs.shed.incr(c.lane);
-                            last_control = Some(KIND_BUSY);
-                            backoff.spin();
-                        }
-                    }
+                if Instant::now() >= deadline {
+                    return Err(deadline_error(c.id, self.seq, attempts, last_control));
                 }
+                conn.send(self.worker, Delivery::Intact(self.bytes.clone()));
                 attempts += 1;
-                if attempts > 1 {
-                    c.obs.retry.incr(c.lane);
-                }
+                c.obs.retry.incr(c.lane);
                 if rto.is_some() {
                     sent_at = Some(Instant::now());
                 }
@@ -316,7 +215,7 @@ impl<'a, S: WireCodec> Pending<'a, S> {
             // The loss rule holds only while `submit`'s transmission is the
             // only one: every transmission of a later request then left
             // after it, so the worker answered this request first.
-            let fifo = rto.is_some() && self.sent && attempts == 1;
+            let fifo = rto.is_some() && attempts == 1;
             let wait_until = match (rto.as_ref(), sent_at) {
                 (Some(timer), Some(at)) => {
                     (at + timer.timeout(c.seed, c.id, self.seq, attempts)).min(deadline)
@@ -326,55 +225,47 @@ impl<'a, S: WireCodec> Pending<'a, S> {
             // Drain reply events until ours, a proven loss, the timer, or a
             // control frame that asks for a retransmit.
             loop {
-                let (frame, arrived) =
-                    if let Some(at) = stash.iter().position(|(f, _)| f.seq == self.seq) {
-                        stash.remove(at).expect("position is in range")
-                    } else if fifo && stash.iter().any(|(f, _)| self.overtaken_by(f)) {
-                        continue 'attempt; // lost: retransmit at once
-                    } else {
-                        match conn.recv_until(wait_until) {
-                            ConnEvent::Frame(frame) => (frame, rto.is_some().then(Instant::now)),
-                            ConnEvent::Garbled => {
-                                // A corrupted reply: detected, dropped, counted.
-                                // Keep waiting — a duplicate may follow.
-                                c.obs.garbled.incr(c.lane);
-                                continue;
-                            }
-                            ConnEvent::Timeout => {
-                                if Instant::now() >= deadline {
-                                    return Err(deadline_error(
-                                        c.id,
-                                        self.seq,
-                                        attempts.max(1),
-                                        last_control,
-                                    ));
-                                }
-                                // The timer expired with no reply held (the
-                                // transport returns what it already holds
-                                // before a timeout): back off, retransmit.
-                                if let Some(timer) = rto.as_mut() {
-                                    timer.back_off();
-                                }
-                                continue 'attempt;
-                            }
-                            ConnEvent::Disconnected => {
-                                if Instant::now() >= deadline {
-                                    return Err(deadline_error(
-                                        c.id,
-                                        self.seq,
-                                        attempts.max(1),
-                                        last_control,
-                                    ));
-                                }
-                                conn.reconnect();
-                                backoff.spin();
-                                continue 'attempt; // retransmit on the new stream
-                            }
+                let (frame, arrived) = if let Some(at) =
+                    stash.iter().position(|(f, _)| f.seq == self.seq)
+                {
+                    stash.remove(at).expect("position is in range")
+                } else if fifo && stash.iter().any(|(f, _)| self.overtaken_by(f)) {
+                    continue 'attempt; // lost: retransmit at once
+                } else {
+                    match conn.recv_until(wait_until) {
+                        ConnEvent::Frame(frame) => (frame, rto.is_some().then(Instant::now)),
+                        ConnEvent::Garbled => {
+                            // A corrupted reply: detected, dropped, counted.
+                            // Keep waiting — a duplicate may follow.
+                            c.obs.garbled.incr(c.lane);
+                            continue;
                         }
-                    };
+                        ConnEvent::Timeout => {
+                            if Instant::now() >= deadline {
+                                return Err(deadline_error(c.id, self.seq, attempts, last_control));
+                            }
+                            // The timer expired with no reply held (the
+                            // transport returns what it already holds
+                            // before a timeout): back off, retransmit.
+                            if let Some(timer) = rto.as_mut() {
+                                timer.back_off();
+                            }
+                            continue 'attempt;
+                        }
+                        ConnEvent::Disconnected => {
+                            if Instant::now() >= deadline {
+                                return Err(deadline_error(c.id, self.seq, attempts, last_control));
+                            }
+                            conn.reconnect();
+                            backoff.spin();
+                            continue 'attempt; // retransmit on the new stream
+                        }
+                    }
+                };
                 if frame.client != c.id {
                     // Another client's reply, misdelivered onto this stream
-                    // by a reordering fault plane. Its seq numbering is a
+                    // (a fault plane's delayed frame, or a peer claiming
+                    // this client id). Its seq numbering is a
                     // different sequence space — matching on seq alone
                     // would ack an op with someone else's response. Drop
                     // it; the owner's retransmit will fetch its own copy.
@@ -394,6 +285,7 @@ impl<'a, S: WireCodec> Pending<'a, S> {
                 }
                 match frame.kind {
                     KIND_BUSY => {
+                        c.obs.shed.incr(c.lane);
                         last_control = Some(KIND_BUSY);
                         backoff.spin();
                         continue 'attempt;
@@ -425,8 +317,8 @@ impl<'a, S: WireCodec> Pending<'a, S> {
     }
 
     /// Whether `frame` is a reply from this request's worker to a later
-    /// request of this client. `Busy` frames never count: the socket
-    /// reader writes them out of band, ahead of the worker's replies.
+    /// request of this client. `Busy` frames never count: the transport
+    /// writes them out of band, ahead of the worker's replies.
     fn overtaken_by(&self, frame: &Frame) -> bool {
         frame.kind == KIND_RESPONSE
             && frame.seq > self.seq
@@ -436,12 +328,11 @@ impl<'a, S: WireCodec> Pending<'a, S> {
 
 #[cfg(test)]
 mod tests {
-    use crate::fault::{FaultProfile, FaultyChannel, InjectObs};
-    use crate::retry::{RetryPolicy, Rto};
-    use crate::wire::{request_frame, response_frame};
+    use super::*;
+    use crate::fault::{Admission, FaultProfile, FaultyChannel, InjectObs};
+    use crate::wire::response_frame;
     use crate::Service;
     use sbu_spec::specs::{CounterOp, CounterSpec};
-    use std::collections::VecDeque;
     use std::time::Duration;
 
     const DROPS: FaultProfile = FaultProfile {
@@ -462,11 +353,58 @@ mod tests {
                 } else {
                     req
                 };
-                let mut queue = VecDeque::new();
-                chan.admit(frame.to_bytes(), &mut queue, &inject);
-                !queue.is_empty()
+                matches!(chan.admit(frame.to_bytes(), &inject), Admission::Delivered(f) if !f.is_empty())
             })
             .collect()
+    }
+
+    /// A connection that hands out scripted reply frames, then times out.
+    struct Scripted(VecDeque<Frame>);
+
+    impl ClientConn for Scripted {
+        fn send(&mut self, _worker: usize, _delivery: Delivery) {}
+
+        fn recv_until(&mut self, _until: Instant) -> ConnEvent {
+            self.0
+                .pop_front()
+                .map_or(ConnEvent::Timeout, ConnEvent::Frame)
+        }
+
+        fn reconnect(&mut self) -> bool {
+            true
+        }
+    }
+
+    #[test]
+    fn another_clients_reply_with_the_awaited_seq_is_not_ours() {
+        // Client 1's reply to its own seq 0 reaches client 0's stream ahead
+        // of client 0's reply to seq 0: matching on seq alone would ack
+        // client 0's read with client 1's value.
+        let key = 5;
+        let ours = request_frame::<CounterSpec>(0, 0, key, &CounterOp::Read);
+        let theirs = request_frame::<CounterSpec>(1, 0, key, &CounterOp::Read);
+        let script = VecDeque::from([
+            response_frame::<CounterSpec>(&theirs, &99),
+            response_frame::<CounterSpec>(&ours, &7),
+        ]);
+        // One worker, one client: lanes 0 (worker), 1 (client), 2
+        // (transport).
+        let registry = sbu_obs::Registry::new(3);
+        let client = ServiceClient::<CounterSpec>::new(
+            0,
+            ShardMap::new(1),
+            1,
+            RetryPolicy::patient(),
+            0,
+            Arc::new(ServiceObs::register(&registry)),
+            Box::new(Scripted(script)),
+        );
+        let pending = client.submit(key, &CounterOp::Read);
+        assert_eq!(pending.seq(), 0);
+        assert_eq!(pending.wait(Instant::now() + Duration::from_secs(1)), Ok(7));
+        if cfg!(feature = "obs") {
+            assert_eq!(registry.snapshot().counter("service.stale_reply"), 1);
+        }
     }
 
     #[test]

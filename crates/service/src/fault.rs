@@ -3,21 +3,15 @@
 //! [`Faulty`] is a *wrapper transport*: it sits between the client/server
 //! handles and any inner [`Transport`] (in-process mailboxes or a real
 //! socket) and, frame by frame, decides whether the frame is delivered
-//! intact, **dropped**, **duplicated**, **reordered** past a frame staged
-//! just before it, **corrupted** (a byte flipped in flight — caught
-//! downstream by the frame checksum), **delayed** (held back until the
-//! next frame passes it), or **disconnected** (the stream dies mid-frame:
-//! a truncated prefix goes out and the connection is torn down, forcing
-//! the client through reconnect-and-retransmit). Decisions come from a
-//! per-channel seeded [`SmallRng`], so a given `(seed, traffic)` pair
-//! replays the same fault pattern — the injection battery in
-//! `crates/scenario` and the `exp e13` sweep both lean on that.
-//!
-//! Because the wrapper forwards frames to the inner transport as soon as
-//! they are admitted, the reorder fault only overtakes frames staged in
-//! the same admission (duplicates, releases of a delayed frame). It is
-//! still *counted* on every decision — over TCP, which is order-preserving
-//! by contract, a standalone reorder could not happen anyway.
+//! intact, **dropped**, **duplicated**, **corrupted** (a byte flipped in
+//! flight — caught downstream by the frame checksum), **delayed** (held
+//! back until the next frame passes it, the one fault that reorders), or
+//! **disconnected** (the stream dies mid-frame: a truncated prefix goes
+//! out and the connection is torn down, forcing the client through
+//! reconnect-and-retransmit). Decisions come from a per-channel seeded
+//! [`SmallRng`], so a given `(seed, traffic)` pair replays the same fault
+//! pattern — the injection battery in `crates/scenario` and the `exp e13`
+//! sweep both lean on that.
 //!
 //! Honest corruption flips a byte *without* fixing the checksum: the
 //! receiver detects it, counts it, and the retry layer resends — end to
@@ -29,30 +23,27 @@
 //! report CAUGHT.
 //!
 //! Every injected fault increments a `service.inject.*` counter on the
-//! mailbox's own obs lane (writes are serialized by the mailbox lock, so
+//! channel's own obs lane (writes are serialized by the channel's lock, so
 //! the single-writer lane discipline holds).
 
-use crate::transport::{ClientConn, ConnEvent, Delivery, RecvOutcome, SendOutcome, Transport};
+use crate::transport::{ClientConn, ConnEvent, Delivery, RecvOutcome, Transport};
 use crate::wire::{checksum, KIND_RESPONSE};
 use parking_lot::Mutex;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Instant;
 
 /// Per-frame fault probabilities for a lossy transport. All rates are
 /// independent coin weights in `[0, 1]` evaluated in a fixed order (drop,
-/// duplicate, reorder, corrupt, delay, disconnect, lie) with at most one
-/// fault applied per frame.
+/// duplicate, corrupt, delay, disconnect, lie) with at most one fault
+/// applied per frame.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultProfile {
     /// Probability a frame is silently discarded.
     pub drop: f64,
     /// Probability a frame is delivered twice.
     pub duplicate: f64,
-    /// Probability a frame is enqueued *before* the frame ahead of it.
-    pub reorder: f64,
     /// Probability one byte of the frame is flipped in flight (checksum
     /// intact, so the receiver detects and discards it).
     pub corrupt: f64,
@@ -75,7 +66,6 @@ impl FaultProfile {
         Self {
             drop: 0.0,
             duplicate: 0.0,
-            reorder: 0.0,
             corrupt: 0.0,
             delay: 0.0,
             disconnect: 0.0,
@@ -84,13 +74,12 @@ impl FaultProfile {
     }
 
     /// The honest-lossy preset used by tests and the `lossy-transport`
-    /// scenario: 10% drop, 10% duplicate, 10% reorder, 10% corrupt,
-    /// 5% delay, no disconnects, no lying.
+    /// scenario: 10% drop, 10% duplicate, 10% corrupt, 5% delay, no
+    /// disconnects, no lying.
     pub const fn lossy() -> Self {
         Self {
             drop: 0.10,
             duplicate: 0.10,
-            reorder: 0.10,
             corrupt: 0.10,
             delay: 0.05,
             disconnect: 0.0,
@@ -117,7 +106,6 @@ impl FaultProfile {
     pub fn is_none(&self) -> bool {
         self.drop == 0.0
             && self.duplicate == 0.0
-            && self.reorder == 0.0
             && self.corrupt == 0.0
             && self.delay == 0.0
             && self.disconnect == 0.0
@@ -139,9 +127,6 @@ pub struct InjectObs {
     pub drop: sbu_obs::Counter,
     /// `service.inject.dup` — frames delivered twice.
     pub dup: sbu_obs::Counter,
-    /// `service.inject.reorder` — reorder faults injected (a frame overtakes
-    /// its predecessor when one is queued; a no-op on an empty queue).
-    pub reorder: sbu_obs::Counter,
     /// `service.inject.corrupt` — frames with a byte flipped (detectable).
     pub corrupt: sbu_obs::Counter,
     /// `service.inject.delay` — frames held back.
@@ -158,7 +143,6 @@ impl InjectObs {
         Self {
             drop: registry.counter("service.inject.drop"),
             dup: registry.counter("service.inject.dup"),
-            reorder: registry.counter("service.inject.reorder"),
             corrupt: registry.counter("service.inject.corrupt"),
             delay: registry.counter("service.inject.delay"),
             disconnect: registry.counter("service.inject.disconnect"),
@@ -173,7 +157,6 @@ enum Fault {
     Deliver,
     Drop,
     Duplicate,
-    Reorder,
     Corrupt,
     Delay,
     Disconnect,
@@ -183,26 +166,28 @@ enum Fault {
 /// What [`FaultyChannel::admit`] did with the stream.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Admission {
-    /// The stream survives (the frame itself may still have been dropped,
-    /// duplicated, corrupted, delayed, …).
-    Delivered,
+    /// The stream survives, and these frames go through, in order: none
+    /// for a drop or a newly delayed frame, two for a duplicate, plus any
+    /// earlier delayed frame released behind the admitted one.
+    Delivered(Vec<Vec<u8>>),
     /// The stream died mid-frame: the carried prefix is the partial write
     /// the peer observes before EOF. Transport wrappers turn this into
     /// [`Delivery::Truncated`].
     Disconnected(Vec<u8>),
 }
 
-/// The per-mailbox injector: owns the channel's RNG and any held-back
-/// (delayed) frames. Lives *inside* the mailbox mutex, so decisions are
-/// serialized with the queue they mutate.
+/// One direction of one lane through the injector: owns the channel's RNG
+/// and the frame a `delay` fault holds back. The fault wrapper keeps each
+/// channel behind its own mutex, so decisions replay in admission order.
 #[derive(Debug)]
 pub struct FaultyChannel {
     profile: FaultProfile,
     rng: SmallRng,
     /// The obs lane this channel records on.
     lane: usize,
-    /// Frames held back by a `delay` fault, released behind the next frame.
-    held: Vec<Vec<u8>>,
+    /// The frame held back by a `delay` fault, released behind the next
+    /// frame.
+    held: Option<Vec<u8>>,
 }
 
 impl FaultyChannel {
@@ -215,7 +200,7 @@ impl FaultyChannel {
                 seed ^ (lane as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15),
             ),
             lane,
-            held: Vec::new(),
+            held: None,
         }
     }
 
@@ -226,9 +211,6 @@ impl FaultyChannel {
         }
         if self.rng.gen_bool(p.duplicate) {
             return Fault::Duplicate;
-        }
-        if self.rng.gen_bool(p.reorder) {
-            return Fault::Reorder;
         }
         if self.rng.gen_bool(p.corrupt) {
             return Fault::Corrupt;
@@ -245,65 +227,46 @@ impl FaultyChannel {
         Fault::Deliver
     }
 
-    /// Pass `bytes` (one encoded frame) through the faulty channel into
-    /// `queue`, applying at most one fault and counting it on this
-    /// channel's lane. Any frame previously held by a `delay` fault is
-    /// released *after* the new frame (that is what "delayed" means here).
+    /// Pass `bytes` (one encoded frame) through the faulty channel,
+    /// applying at most one fault and counting it on this channel's lane.
+    /// A frame previously held by a `delay` fault is released *after* the
+    /// new frame (that is what "delayed" means here).
     ///
-    /// The return value reports stream-level damage: on
-    /// [`Admission::Disconnected`] nothing was queued, any held frame is
-    /// gone with the stream, and the carried prefix is what the peer saw
+    /// On [`Admission::Disconnected`] nothing goes through, any held frame
+    /// is gone with the stream, and the carried prefix is what the peer saw
     /// before the cut.
-    pub fn admit(
-        &mut self,
-        bytes: Vec<u8>,
-        queue: &mut VecDeque<Vec<u8>>,
-        obs: &InjectObs,
-    ) -> Admission {
+    pub fn admit(&mut self, bytes: Vec<u8>, obs: &InjectObs) -> Admission {
         let is_response = frame_kind(&bytes) == Some(KIND_RESPONSE);
         let fault = self.decide(is_response);
         let lane = self.lane;
-        match fault {
-            Fault::Deliver => queue.push_back(bytes),
-            Fault::Drop => obs.drop.incr(lane),
+        let mut through = match fault {
+            Fault::Deliver => vec![bytes],
+            Fault::Drop => {
+                obs.drop.incr(lane);
+                Vec::new()
+            }
             Fault::Duplicate => {
                 obs.dup.incr(lane);
-                queue.push_back(bytes.clone());
-                queue.push_back(bytes);
-            }
-            Fault::Reorder => {
-                // Counted on the *decision*, like every other fault: queue
-                // occupancy depends on how fast the receiver drains, so a
-                // fired-only counter would not replay for a fixed seed.
-                obs.reorder.incr(lane);
-                if queue.is_empty() {
-                    // Nothing ahead to pass — the injected reorder is a no-op.
-                    queue.push_back(bytes);
-                } else {
-                    let at = queue.len() - 1;
-                    queue.insert(at, bytes);
-                }
+                vec![bytes.clone(), bytes]
             }
             Fault::Corrupt => {
                 obs.corrupt.incr(lane);
-                queue.push_back(flip_byte(bytes, &mut self.rng));
+                vec![flip_byte(bytes, &mut self.rng)]
             }
             Fault::Delay => {
                 obs.delay.incr(lane);
-                // The newly held frame still flushes anything held before
-                // it (so `held` never exceeds one frame and a pure-delay
+                // The newly held frame still flushes the one held before
+                // it (so at most one frame is held and a pure-delay
                 // profile cannot stall the channel forever).
-                let prior = std::mem::take(&mut self.held);
-                queue.extend(prior);
-                self.held.push(bytes);
-                return Admission::Delivered; // released behind a future frame
+                let prior = self.held.replace(bytes);
+                return Admission::Delivered(prior.into_iter().collect());
             }
             Fault::Disconnect => {
                 obs.disconnect.incr(lane);
-                // The stream dies mid-write: anything held back by a delay
+                // The stream dies mid-write: a frame held back by a delay
                 // dies with it, and the peer sees a prefix of this frame
                 // followed by EOF.
-                self.held.clear();
+                self.held = None;
                 let cut = if bytes.len() > 1 {
                     self.rng.gen_range(1..bytes.len())
                 } else {
@@ -313,52 +276,13 @@ impl FaultyChannel {
             }
             Fault::Lie => {
                 obs.lies.incr(lane);
-                queue.push_back(rewrite_response(bytes, &mut self.rng));
+                vec![rewrite_response(bytes, &mut self.rng)]
             }
-        }
-        // A frame went past: release anything we were holding behind it.
-        for held in self.held.drain(..) {
-            queue.push_back(held);
-        }
-        Admission::Delivered
+        };
+        // A frame went past: release the one we were holding behind it.
+        through.extend(self.held.take());
+        Admission::Delivered(through)
     }
-}
-
-/// One direction of one lane through the injector: the seeded channel plus
-/// a staging queue frames are admitted into before being forwarded to the
-/// inner transport.
-struct FaultLane {
-    chan: FaultyChannel,
-    staging: VecDeque<Vec<u8>>,
-}
-
-impl FaultLane {
-    fn new(profile: FaultProfile, seed: u64, lane: usize) -> Self {
-        Self {
-            chan: FaultyChannel::new(profile, seed, lane),
-            staging: VecDeque::new(),
-        }
-    }
-}
-
-/// Admit one frame through a lane and drain whatever the injector decided
-/// to forward (zero frames for a drop, two for a duplicate, a previously
-/// delayed frame released behind this one, …). The second return is the
-/// truncated prefix of a disconnect, if one fired.
-fn admit_through(
-    lane: &Mutex<FaultLane>,
-    bytes: Vec<u8>,
-    obs: &InjectObs,
-) -> (Vec<Vec<u8>>, Option<Vec<u8>>) {
-    let mut guard = lane.lock();
-    let FaultLane { chan, staging } = &mut *guard;
-    let admission = chan.admit(bytes, staging, obs);
-    let blobs: Vec<Vec<u8>> = staging.drain(..).collect();
-    let cut = match admission {
-        Admission::Delivered => None,
-        Admission::Disconnected(prefix) => Some(prefix),
-    };
-    (blobs, cut)
 }
 
 /// The fault injector as a wrapper [`Transport`]: every request passes a
@@ -373,9 +297,9 @@ fn admit_through(
 pub(crate) struct Faulty {
     inner: Arc<dyn Transport>,
     /// Request lanes, one per worker (obs lane `w`).
-    req: Vec<Mutex<FaultLane>>,
+    req: Vec<Mutex<FaultyChannel>>,
     /// Reply lanes, one per client (obs lane `workers + c`).
-    resp: Vec<Mutex<FaultLane>>,
+    resp: Vec<Mutex<FaultyChannel>>,
     inject: InjectObs,
 }
 
@@ -391,10 +315,10 @@ impl Faulty {
         Self {
             inner,
             req: (0..workers)
-                .map(|w| Mutex::new(FaultLane::new(profile, seed, w)))
+                .map(|w| Mutex::new(FaultyChannel::new(profile, seed, w)))
                 .collect(),
             resp: (0..clients)
-                .map(|c| Mutex::new(FaultLane::new(profile, seed, workers + c)))
+                .map(|c| Mutex::new(FaultyChannel::new(profile, seed, workers + c)))
                 .collect(),
             inject,
         }
@@ -407,17 +331,15 @@ impl Transport for Faulty {
     }
 
     fn send_reply(&self, client: u32, delivery: Delivery) {
-        match delivery {
-            Delivery::Intact(bytes) => {
-                let (blobs, cut) = admit_through(&self.resp[client as usize], bytes, &self.inject);
-                for blob in blobs {
-                    self.inner.send_reply(client, Delivery::Intact(blob));
-                }
-                if let Some(prefix) = cut {
-                    self.inner.send_reply(client, Delivery::Truncated(prefix));
-                }
+        match (delivery, self.resp.get(client as usize)) {
+            (Delivery::Intact(bytes), Some(lane)) => {
+                let admission = lane.lock().admit(bytes, &self.inject);
+                forward(admission, |d| self.inner.send_reply(client, d));
             }
-            truncated => self.inner.send_reply(client, truncated),
+            // A socket peer may claim a client id this service never
+            // built: no lane exists to damage its replies on, so they pass
+            // through.
+            (delivery, _) => self.inner.send_reply(client, delivery),
         }
     }
 
@@ -451,24 +373,14 @@ struct FaultyConn {
 }
 
 impl ClientConn for FaultyConn {
-    fn send(&mut self, worker: usize, delivery: Delivery) -> SendOutcome {
-        match delivery {
-            Delivery::Intact(bytes) => {
-                let (blobs, cut) =
-                    admit_through(&self.shared.req[worker], bytes, &self.shared.inject);
-                let mut outcome = SendOutcome::Sent;
-                for blob in blobs {
-                    if self.inner.send(worker, Delivery::Intact(blob)) == SendOutcome::Shed {
-                        outcome = SendOutcome::Shed;
-                    }
-                }
-                if let Some(prefix) = cut {
-                    self.inner.send(worker, Delivery::Truncated(prefix));
-                }
-                outcome
-            }
-            truncated => self.inner.send(worker, truncated),
-        }
+    fn send(&mut self, worker: usize, delivery: Delivery) {
+        let Delivery::Intact(bytes) = delivery else {
+            return self.inner.send(worker, delivery);
+        };
+        let admission = self.shared.req[worker]
+            .lock()
+            .admit(bytes, &self.shared.inject);
+        forward(admission, |d| self.inner.send(worker, d));
     }
 
     fn recv_until(&mut self, until: Instant) -> ConnEvent {
@@ -477,6 +389,15 @@ impl ClientConn for FaultyConn {
 
     fn reconnect(&mut self) -> bool {
         self.inner.reconnect()
+    }
+}
+
+/// Hand what a channel let through to the inner transport, in order: each
+/// frame intact, or the prefix of a frame cut by a disconnect.
+fn forward(admission: Admission, mut send: impl FnMut(Delivery)) {
+    match admission {
+        Admission::Delivered(frames) => frames.into_iter().for_each(|f| send(Delivery::Intact(f))),
+        Admission::Disconnected(prefix) => send(Delivery::Truncated(prefix)),
     }
 }
 
@@ -522,7 +443,7 @@ fn rewrite_response(mut bytes: Vec<u8>, rng: &mut SmallRng) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::{request_frame, response_frame, FrameDecoder, WireCodec, WireError};
+    use crate::wire::{request_frame, response_frame, Frame, WireCodec, WireError};
     use sbu_spec::specs::{CounterOp, CounterSpec};
 
     fn obs() -> (sbu_obs::Registry, InjectObs) {
@@ -535,15 +456,21 @@ mod tests {
         request_frame::<CounterSpec>(0, seq, 7, &CounterOp::Inc).to_bytes()
     }
 
+    /// The frames one admission lets through (panics on a disconnect).
+    fn through(chan: &mut FaultyChannel, bytes: Vec<u8>, obs: &InjectObs) -> Vec<Vec<u8>> {
+        match chan.admit(bytes, obs) {
+            Admission::Delivered(frames) => frames,
+            Admission::Disconnected(prefix) => panic!("unexpected disconnect: {prefix:?}"),
+        }
+    }
+
     #[test]
     fn perfect_profile_is_a_plain_queue() {
         let (_reg, obs) = obs();
         let mut chan = FaultyChannel::new(FaultProfile::none(), 1, 0);
-        let mut q = VecDeque::new();
         for seq in 0..100 {
-            chan.admit(a_frame(seq), &mut q, &obs);
+            assert_eq!(through(&mut chan, a_frame(seq), &obs), vec![a_frame(seq)]);
         }
-        assert_eq!(q.len(), 100);
         assert!(FaultProfile::default().is_none());
     }
 
@@ -552,11 +479,9 @@ mod tests {
         let run = |seed: u64| {
             let (reg, obs) = obs();
             let mut chan = FaultyChannel::new(FaultProfile::lossy(), seed, 0);
-            let mut q = VecDeque::new();
-            for seq in 0..400 {
-                chan.admit(a_frame(seq), &mut q, &obs);
-            }
-            let delivered: Vec<Vec<u8>> = q.into_iter().collect();
+            let delivered: Vec<Vec<u8>> = (0..400)
+                .flat_map(|seq| through(&mut chan, a_frame(seq), &obs))
+                .collect();
             (reg.snapshot(), delivered)
         };
         let (snap, delivered) = run(42);
@@ -564,7 +489,6 @@ mod tests {
             for name in [
                 "service.inject.drop",
                 "service.inject.dup",
-                "service.inject.reorder",
                 "service.inject.corrupt",
                 "service.inject.delay",
             ] {
@@ -588,15 +512,13 @@ mod tests {
             ..FaultProfile::none()
         };
         let mut chan = FaultyChannel::new(profile, 9, 0);
-        let mut q = VecDeque::new();
-        chan.admit(a_frame(1), &mut q, &obs);
-        let bytes = q.pop_front().expect("delivered, corrupted");
-        let mut dec = FrameDecoder::new();
-        dec.push(&bytes);
-        // Either the checksum catches it, or (if the flip hit the length
-        // prefix's spare high bits… it can't: flips start at index 4) —
-        // always a Corrupt error, never a clean frame.
-        match dec.next_frame() {
+        let frames = through(&mut chan, a_frame(1), &obs);
+        let [bytes] = &frames[..] else {
+            panic!("one corrupted frame, got {frames:?}");
+        };
+        // The flip never lands in the length prefix, so the frame keeps
+        // its framing and the checksum is what catches it.
+        match Frame::decode(bytes) {
             Err(WireError::Corrupt { .. }) => {}
             other => panic!("corruption went undetected: {other:?}"),
         }
@@ -612,22 +534,16 @@ mod tests {
         let mut chan = FaultyChannel::new(profile, 5, 0);
         let req = request_frame::<CounterSpec>(0, 3, 7, &CounterOp::Read);
         let honest = response_frame::<CounterSpec>(&req, &41);
-        let mut q = VecDeque::new();
-        chan.admit(honest.to_bytes(), &mut q, &obs);
-        let bytes = q.pop_front().expect("lies are delivered");
-        let mut dec = FrameDecoder::new();
-        dec.push(&bytes);
-        let frame = dec
-            .next_frame()
-            .expect("the lie is wire-valid")
-            .expect("complete");
+        let lie = through(&mut chan, honest.to_bytes(), &obs);
+        let frame = Frame::decode(&lie[0]).expect("the lie is wire-valid");
         assert_eq!(frame.seq, 3);
         let value = CounterSpec::decode_resp(&frame.payload).expect("decodes");
         assert_ne!(value, 41, "the payload was rewritten");
         // Requests are never lied about (only responses carry answers).
-        chan.admit(req.to_bytes(), &mut q, &obs);
-        let req_bytes = q.pop_front().unwrap();
-        assert_eq!(req_bytes, req.to_bytes());
+        assert_eq!(
+            through(&mut chan, req.to_bytes(), &obs),
+            vec![req.to_bytes()]
+        );
     }
 
     #[test]
@@ -638,16 +554,28 @@ mod tests {
             ..FaultProfile::none()
         };
         let mut chan = FaultyChannel::new(profile, 2, 0);
-        let mut q = VecDeque::new();
         let (first, second) = (a_frame(1), a_frame(2));
-        chan.admit(first.clone(), &mut q, &obs);
-        assert!(q.is_empty(), "frame 1 is held");
-        chan.admit(second.clone(), &mut q, &obs);
+        assert!(
+            through(&mut chan, first.clone(), &obs).is_empty(),
+            "frame 1 is held"
+        );
         // Frame 2 was *also* delayed (rate 1.0), but it flushes frame 1.
-        assert_eq!(q.pop_front(), Some(first));
+        assert_eq!(through(&mut chan, second, &obs), vec![first]);
         if cfg!(feature = "obs") {
             assert_eq!(reg.snapshot().counter("service.inject.delay"), 2);
         }
+    }
+
+    #[test]
+    fn a_delayed_frame_goes_out_behind_the_frame_that_passes_it() {
+        let (_reg, obs) = obs();
+        let mut chan = FaultyChannel::new(FaultProfile::none(), 2, 0);
+        let (first, second) = (a_frame(1), a_frame(2));
+        chan.held = Some(first.clone());
+        assert_eq!(
+            through(&mut chan, second.clone(), &obs),
+            vec![second, first]
+        );
     }
 
     #[test]
@@ -655,38 +583,19 @@ mod tests {
         let (reg, obs) = obs();
         let profile = FaultProfile::none().with_disconnect(1.0);
         let mut chan = FaultyChannel::new(profile, 4, 0);
-        let mut q = VecDeque::new();
         let frame = a_frame(1);
-        match chan.admit(frame.clone(), &mut q, &obs) {
+        match chan.admit(frame.clone(), &obs) {
             Admission::Disconnected(prefix) => {
                 assert!(prefix.len() < frame.len(), "a strict prefix");
                 assert!(!prefix.is_empty(), "at least one byte went out");
                 assert_eq!(&frame[..prefix.len()], &prefix[..]);
             }
-            Admission::Delivered => panic!("disconnect at rate 1.0 must fire"),
+            Admission::Delivered(frames) => {
+                panic!("disconnect at rate 1.0 must fire, got {frames:?}")
+            }
         }
-        assert!(q.is_empty(), "nothing was queued past the cut");
         if cfg!(feature = "obs") {
             assert_eq!(reg.snapshot().counter("service.inject.disconnect"), 1);
         }
-    }
-
-    #[test]
-    fn reorder_swaps_with_the_frame_ahead() {
-        let (_reg, obs) = obs();
-        let mut chan = FaultyChannel::new(
-            FaultProfile {
-                reorder: 1.0,
-                ..FaultProfile::none()
-            },
-            3,
-            0,
-        );
-        let mut q = VecDeque::new();
-        let (first, second) = (a_frame(1), a_frame(2));
-        chan.admit(first.clone(), &mut q, &obs); // empty queue: plain delivery
-        chan.admit(second.clone(), &mut q, &obs); // overtakes frame 1
-        assert_eq!(q.pop_front(), Some(second));
-        assert_eq!(q.pop_front(), Some(first));
     }
 }

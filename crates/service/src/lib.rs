@@ -8,7 +8,7 @@
 //!
 //! ```text
 //!   client ──encode──▶ Transport (in-process │ unix │ tcp, ± faults)
-//!     ──▶ FrameDecoder ──▶ dedup window ──▶ Shard (single owner)
+//!     ──▶ one frame per inbox blob ──▶ dedup window ──▶ Shard (single owner)
 //!       ──▶ Universal::apply at the object for key
 //!         ──encode──▶ Transport ──▶ client handle
 //! ```
@@ -16,12 +16,12 @@
 //! * [`ShardMap`] — the pure routing function (`key → shard`), hash or
 //!   range policy ([`Routing`]).
 //! * [`Frame`]/[`FrameDecoder`]/[`WireCodec`] — the length-prefixed wire
-//!   protocol. The decoder is incremental precisely so stream transports
-//!   and in-process queues decode identically.
+//!   protocol. The decoder is incremental for socket streams; every queued
+//!   blob is one whole frame, decoded once.
 //! * [`Transport`] — the pluggable byte plane ([`TransportConfig`]):
 //!   in-process mailboxes by default, or a real blocking TCP /
 //!   Unix-domain-socket listener (one acceptor thread feeding per-worker
-//!   inboxes through the same decoder) selected with
+//!   inboxes, one re-encoded frame per blob) selected with
 //!   `Service::builder(..).transport(..)`. The seeded fault injector is a
 //!   wrapper over any of them.
 //! * [`Shard`] — a single-owner slice of the key space, lazily
@@ -34,14 +34,14 @@
 //!   [`ServiceClient::call`] or [`ServiceClient::submit`] returning a
 //!   [`Pending`] to `wait(deadline)` on.
 //! * [`loadgen`] — the seeded offline load generator behind experiments
-//!   E12/E15 (open/closed loop, uniform/Zipf keys, any transport).
+//!   E12/E15 (open/closed loop, uniform/Zipf keys, any transport, one
+//!   `submit` + `wait` loop per client).
 //!
 //! The **fault-tolerant plane** hardens that loop end to end:
 //!
-//! * [`FaultProfile`] — seeded transport faults (drop, duplicate, reorder,
-//!   corrupt, delay, the stream-killing *disconnect*, and the
-//!   checksum-fixing *lie*) injected at the transport seam, counted as
-//!   `service.inject.*`.
+//! * [`FaultProfile`] — seeded transport faults (drop, duplicate, corrupt,
+//!   delay, the stream-killing *disconnect*, and the checksum-fixing
+//!   *lie*) injected at the transport seam, counted as `service.inject.*`.
 //! * [`RetryPolicy`]/[`ServiceError`] — per-request deadlines, bounded
 //!   exponential backoff with seeded jitter, retransmission keyed by the
 //!   wire protocol's existing `(client, seq)` pair — including
@@ -53,15 +53,17 @@
 //!   a typed `Unavailable` the client retries; durable shards run the real
 //!   `DurableMem` crash–restart protocol plus per-key
 //!   [`sbu_core::Universal::recover`], losing nothing acked.
-//! * Bounded inboxes shed load past a high watermark with a typed `Busy`
-//!   outcome (`service.shed`); a malformed *stream* (oversized length
-//!   prefix) kills only its connection (`service.conn_drop`), never the
-//!   worker.
+//! * Bounded inboxes shed load past a high watermark: every transport
+//!   answers a refused request with a `Busy` frame, which the client's
+//!   `wait` counts (`service.shed`) and retries until its deadline; a
+//!   malformed *stream* (oversized length prefix) kills only its
+//!   connection (`service.conn_drop`), and a well-framed frame the worker
+//!   cannot serve is dropped — neither ever kills a worker.
 //!
 //! Observability: `service.route` (requests routed), `service.queue_depth`
 //! (inbox depth at drain), `service.shard_imbalance` (per-shard op totals
 //! at shutdown), the fault-plane family — `service.inject.{drop,dup,
-//! reorder,corrupt,delay,disconnect,lie}`, `service.retry`,
+//! corrupt,delay,disconnect,lie}`, `service.retry`,
 //! `service.stale_reply`, `service.garbled`, `service.shed`,
 //! `service.dedup_hit`, `service.respawn`, `service.unavailable` — and the
 //! socket plane — `service.accept`, `service.conn_drop`,
@@ -93,9 +95,7 @@ pub use server::{Service, ServiceBuilder, ShardStats};
 pub use shard::Shard;
 pub use socket::SocketConn;
 pub use supervise::{DurableShard, KillPlan, Recovery};
-pub use transport::{
-    ClientConn, ConnEvent, Delivery, RecvOutcome, SendOutcome, Transport, TransportConfig,
-};
+pub use transport::{ClientConn, ConnEvent, Delivery, RecvOutcome, Transport, TransportConfig};
 pub use wire::{
     control_frame, request_frame, response_frame, Frame, FrameDecoder, WireCodec, WireError,
     KIND_BUSY, KIND_REQUEST, KIND_RESPONSE, KIND_UNAVAILABLE, MAX_FRAME_LEN,

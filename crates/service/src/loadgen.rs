@@ -4,10 +4,11 @@
 //!
 //! * **loop mode** — *closed* (each client blocks for every reply: the
 //!   classic fixed-concurrency benchmark, throughput is `clients` divided
-//!   by mean latency) vs *open* (requests are issued ahead of replies and
-//!   the workers drain the backlog: measures raw service capacity, and is
+//!   by mean latency) vs *open* (each client keeps a window of requests
+//!   in flight ahead of their replies: measures service capacity, and is
 //!   what fills the `service.queue_depth` histogram with non-trivial
-//!   depths);
+//!   depths). Both run one client loop — `submit`, then `wait` on the
+//!   oldest once the window is full — on every transport;
 //! * **key skew** — uniform over the key space vs Zipf(θ) (hand-rolled
 //!   CDF + binary search; the repo vendors no Zipf sampler), which is the
 //!   hot-key regime where hash routing still pins each hot key to one
@@ -35,10 +36,8 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-/// How many requests an open-loop client keeps in flight on a socket
-/// transport (the in-process open loop posts the whole backlog up front;
-/// a socket client must bound it so retransmissions stay inside the reply
-/// stash).
+/// How many requests an open-loop client keeps in flight (bounded, so
+/// out-of-order replies stay inside the client's reply stash).
 const OPEN_WINDOW: usize = 32;
 
 /// How keys are drawn from `0..keys`.
@@ -55,11 +54,21 @@ pub enum Skew {
 /// Whether clients wait for replies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LoopMode {
-    /// Issue requests ahead of replies (the full backlog in-process; a
-    /// bounded window of 32 in flight per client on a socket).
+    /// Send requests ahead of replies: a window of 32 in flight per
+    /// client.
     Open,
     /// One outstanding request per client (block on each reply).
     Closed,
+}
+
+impl LoopMode {
+    /// Requests each client keeps in flight.
+    fn depth(self) -> usize {
+        match self {
+            LoopMode::Open => OPEN_WINDOW,
+            LoopMode::Closed => 1,
+        }
+    }
 }
 
 /// One load-generator run.
@@ -89,9 +98,8 @@ pub struct LoadgenConfig {
     /// the whole report is a pure function of the config (determinism
     /// tests); when `true` they carry wall-clock measurements.
     pub timing: bool,
-    /// Transport faults to inject. Requires a retransmitting path: the
-    /// closed loop (any transport) or the windowed open loop (socket
-    /// transports). Switches the service onto [`RetryPolicy::lossy`].
+    /// Transport faults to inject (any loop mode, any transport).
+    /// Switches the service onto [`RetryPolicy::lossy`].
     pub fault: Option<FaultProfile>,
 }
 
@@ -203,13 +211,6 @@ where
     F: Fn(&mut SmallRng) -> S::Op + Send + Sync,
 {
     assert!(config.clients >= 1 && config.ops_per_client >= 1 && config.keys >= 1);
-    let socket = !matches!(config.transport, TransportConfig::InProcess);
-    assert!(
-        config.fault.is_none() || config.mode == LoopMode::Closed || socket,
-        "fault injection needs a retransmitting path: the closed loop, or the \
-         windowed open loop on a socket transport (in-process open-loop posts \
-         are never retransmitted)"
-    );
     let retry = match (config.fault.is_some(), config.timing) {
         (false, _) => RetryPolicy::patient(),
         (true, true) => RetryPolicy::lossy(),
@@ -241,84 +242,35 @@ where
             unavailable.fetch_add(1, Ordering::Relaxed);
         }
     };
+    let depth = config.mode.depth();
     let started = Instant::now();
-    match (config.mode, socket) {
-        (LoopMode::Closed, _) => {
-            std::thread::scope(|scope| {
-                for client in 0..config.clients {
-                    let (svc, gen_op, classify) = (&svc, &gen_op, &classify);
-                    let mut stream = KeyStream::new(config, client);
-                    scope.spawn(move || {
-                        for _ in 0..config.ops_per_client {
-                            let key = stream.next_key();
-                            let op = gen_op(&mut stream.rng);
-                            if let Err(e) = svc.client(client).call(key, &op) {
-                                classify(&e);
-                            }
-                        }
-                    });
-                }
-            });
-        }
-        (LoopMode::Open, false) => {
-            // In-process: post the full backlog, then collect every reply.
-            // Posting is single-threaded so the arrival order is
-            // deterministic; the workers drain concurrently, which is the
-            // point.
-            for client in 0..config.clients {
-                let mut stream = KeyStream::new(config, client);
+    std::thread::scope(|scope| {
+        for client in 0..config.clients {
+            let (svc, gen_op, classify) = (&svc, &gen_op, &classify);
+            let mut stream = KeyStream::new(config, client);
+            scope.spawn(move || {
+                let handle = svc.client(client);
+                let deadline = handle.retry().deadline;
+                let mut window = VecDeque::with_capacity(depth);
                 for _ in 0..config.ops_per_client {
                     let key = stream.next_key();
                     let op = gen_op(&mut stream.rng);
-                    svc.client(client).post_once(key, &op);
+                    window.push_back(handle.submit(key, &op));
+                    if window.len() >= depth {
+                        let oldest = window.pop_front().expect("window non-empty");
+                        if let Err(e) = oldest.wait(Instant::now() + deadline) {
+                            classify(&e);
+                        }
+                    }
                 }
-            }
-            std::thread::scope(|scope| {
-                for client in 0..config.clients {
-                    let (svc, classify) = (&svc, &classify);
-                    scope.spawn(move || {
-                        for _ in 0..config.ops_per_client {
-                            if let Err(e) = svc.client(client).take_next() {
-                                classify(&e);
-                            }
-                        }
-                    });
-                }
-            });
-        }
-        (LoopMode::Open, true) => {
-            // Socket: a bounded window of typed `Pending` handles per
-            // client, so retransmission and the reply stash keep working
-            // while several requests ride the stream at once.
-            std::thread::scope(|scope| {
-                for client in 0..config.clients {
-                    let (svc, gen_op, classify) = (&svc, &gen_op, &classify);
-                    let mut stream = KeyStream::new(config, client);
-                    scope.spawn(move || {
-                        let handle = svc.client(client);
-                        let deadline = handle.retry().deadline;
-                        let mut window = VecDeque::with_capacity(OPEN_WINDOW);
-                        for _ in 0..config.ops_per_client {
-                            let key = stream.next_key();
-                            let op = gen_op(&mut stream.rng);
-                            window.push_back(handle.submit(key, &op));
-                            if window.len() >= OPEN_WINDOW {
-                                let oldest = window.pop_front().expect("window non-empty");
-                                if let Err(e) = oldest.wait(Instant::now() + deadline) {
-                                    classify(&e);
-                                }
-                            }
-                        }
-                        for pending in window {
-                            if let Err(e) = pending.wait(Instant::now() + deadline) {
-                                classify(&e);
-                            }
-                        }
-                    });
+                for pending in window {
+                    if let Err(e) = pending.wait(Instant::now() + deadline) {
+                        classify(&e);
+                    }
                 }
             });
         }
-    }
+    });
     let elapsed = started.elapsed().as_secs_f64();
     let shards = svc.shutdown();
     // Snapshot after shutdown so `service.shard_imbalance` (recorded while
@@ -430,6 +382,31 @@ mod tests {
         };
         let report = run(&config, CounterSpec::new(), counter_mix);
         assert_eq!(report.shards.iter().map(|s| s.ops).sum::<u64>(), 600);
+    }
+
+    #[test]
+    fn open_loop_rides_out_a_lossy_in_process_transport() {
+        let config = LoadgenConfig {
+            clients: 2,
+            shards: 2,
+            workers: 2,
+            ops_per_client: 150,
+            keys: 16,
+            mode: LoopMode::Open,
+            fault: Some(FaultProfile::lossy()),
+            seed: 11,
+            ..Default::default()
+        };
+        let report = run(&config, CounterSpec::new(), counter_mix);
+        assert_eq!(report.failures, 0, "retries must absorb honest loss");
+        assert_eq!(
+            report.shards.iter().map(|s| s.ops).sum::<u64>(),
+            report.acked,
+            "exactly-once: every acked op applied exactly once"
+        );
+        if cfg!(feature = "obs") {
+            assert!(report.metrics.counter("service.inject.drop") > 0);
+        }
     }
 
     #[test]

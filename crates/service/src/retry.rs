@@ -42,9 +42,6 @@ pub struct RetryPolicy {
     /// Hard per-request deadline: when it expires the call returns a typed
     /// error instead of blocking forever.
     pub deadline: Duration,
-    /// Exponent cap for the in-process backoff spin used when a push is
-    /// shed (`Busy`); see [`sbu_mem::contention::Backoff::with_limit`].
-    pub backoff_limit: u32,
 }
 
 impl RetryPolicy {
@@ -57,7 +54,6 @@ impl RetryPolicy {
             attempt_timeout: None,
             max_attempt_timeout: Duration::from_secs(30),
             deadline: Duration::from_secs(30),
-            backoff_limit: sbu_mem::contention::Backoff::DEFAULT_LIMIT,
         }
     }
 
@@ -71,7 +67,6 @@ impl RetryPolicy {
             attempt_timeout: Some(Duration::from_micros(250)),
             max_attempt_timeout: Duration::from_millis(160),
             deadline: Duration::from_secs(10),
-            backoff_limit: sbu_mem::contention::Backoff::DEFAULT_LIMIT,
         }
     }
 
@@ -209,8 +204,8 @@ pub enum ServiceError {
         /// Send attempts made (1 = never retransmitted).
         attempts: u32,
     },
-    /// The request was shed at a mailbox high watermark (or the last word
-    /// before the deadline was a `Busy` control frame). Capacity, not
+    /// The last word before the deadline was a `Busy` control frame: the
+    /// request was shed at a mailbox high watermark. Capacity, not
     /// correctness: back off and retry.
     Busy {
         /// Requesting client.

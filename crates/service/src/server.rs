@@ -7,16 +7,16 @@
 //! [`Transport`](crate::transport::Transport): in-process mailboxes by
 //! default, a real TCP or Unix-domain socket with
 //! [`ServiceBuilder::transport`], and optionally the seeded fault injector
-//! wrapped around either ([`ServiceBuilder::fault`]). The worker loop
-//! decodes whatever arrives with the same incremental
-//! [`FrameDecoder`](crate::FrameDecoder) regardless of the transport —
-//! bytes are bytes.
+//! wrapped around either ([`ServiceBuilder::fault`]). Every inbox blob is
+//! one encoded frame on every transport, so the worker loop decodes each
+//! blob once, whole, and drops one it cannot serve — corrupt, not a
+//! request, or an op the spec cannot decode — without answering.
 //!
 //! The fault-tolerant plane layers four mechanisms over that skeleton:
 //!
 //! * **Lossy transport** — the [`Faulty`](crate::fault::Faulty) wrapper
-//!   drops / duplicates / reorders / corrupts / delays / disconnects
-//!   frames between the client handles and the inner transport.
+//!   drops / duplicates / corrupts / delays / disconnects frames between
+//!   the client handles and the inner transport.
 //! * **Client reliability** — [`ServiceClient::call`] carries a hard
 //!   deadline and (under a lossy [`RetryPolicy`]) retransmits with bounded
 //!   exponential backoff and seeded jitter, reusing the request's
@@ -52,7 +52,7 @@ use crate::socket::{Socket, SocketObs};
 use crate::supervise::{DurableShard, KillPlan, KillState, Recovery};
 use crate::transport::{Delivery, InProcess, RecvOutcome, Transport, TransportConfig};
 use crate::wire::{
-    control_frame, response_frame, Frame, FrameDecoder, WireCodec, KIND_REQUEST, KIND_UNAVAILABLE,
+    control_frame, response_frame, Frame, WireCodec, KIND_REQUEST, KIND_UNAVAILABLE,
 };
 use std::collections::{BTreeMap, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -83,6 +83,24 @@ pub(crate) struct ServiceObs {
     pub(crate) dedup_hit: sbu_obs::Counter,
     pub(crate) respawn: sbu_obs::Counter,
     pub(crate) unavailable: sbu_obs::Counter,
+}
+
+impl ServiceObs {
+    /// Register the service instruments on `registry`.
+    pub(crate) fn register(registry: &sbu_obs::Registry) -> Self {
+        Self {
+            route: registry.counter("service.route"),
+            queue_depth: registry.histogram("service.queue_depth"),
+            shard_imbalance: registry.histogram("service.shard_imbalance"),
+            retry: registry.counter("service.retry"),
+            shed: registry.counter("service.shed"),
+            stale: registry.counter("service.stale_reply"),
+            garbled: registry.counter("service.garbled"),
+            dedup_hit: registry.counter("service.dedup_hit"),
+            respawn: registry.counter("service.respawn"),
+            unavailable: registry.counter("service.unavailable"),
+        }
+    }
 }
 
 /// Per-client dedup window: how many `(client, seq)` → response entries
@@ -207,18 +225,7 @@ where
         let map = ShardMap::new(self.shards).with_routing(self.routing);
         let transport_lane = self.workers + self.clients;
         let registry = sbu_obs::Registry::new(transport_lane + 1);
-        let obs = Arc::new(ServiceObs {
-            route: registry.counter("service.route"),
-            queue_depth: registry.histogram("service.queue_depth"),
-            shard_imbalance: registry.histogram("service.shard_imbalance"),
-            retry: registry.counter("service.retry"),
-            shed: registry.counter("service.shed"),
-            stale: registry.counter("service.stale_reply"),
-            garbled: registry.counter("service.garbled"),
-            dedup_hit: registry.counter("service.dedup_hit"),
-            respawn: registry.counter("service.respawn"),
-            unavailable: registry.counter("service.unavailable"),
-        });
+        let obs = Arc::new(ServiceObs::register(&registry));
         // The socket-plane instruments register unconditionally so every
         // transport reports the same (deterministic) instrument set; they
         // stay zero off-socket.
@@ -494,7 +501,6 @@ struct WorkerState<S: WireCodec> {
     shards: WorkerShards<S>,
     /// `(client → (seq → cached encoded response))`, bounded per client.
     dedup: HashMap<u32, BTreeMap<u64, Vec<u8>>>,
-    dec: FrameDecoder,
     kill: Option<KillState>,
 }
 
@@ -513,7 +519,6 @@ where
     let mut state = WorkerState {
         shards: WorkerShards::build(ctx.recovery, &ctx.shard_ids, &ctx.template),
         dedup: HashMap::new(),
-        dec: FrameDecoder::new(),
         kill: ctx.kill.map(|plan| KillState::new(plan, ctx.seed, ctx.w)),
     };
     loop {
@@ -527,7 +532,6 @@ where
                     std::panic::resume_unwind(payload); // a real bug
                 }
                 obs.respawn.incr(ctx.w);
-                state.dec.reset();
                 match &mut state.shards {
                     WorkerShards::Volatile(_) => {
                         // The worker's memory died with it: fresh shards,
@@ -560,7 +564,7 @@ where
     state.shards.stats()
 }
 
-/// One worker: drain the transport through a frame decoder, apply each
+/// One worker: take one frame at a time off the transport, apply each
 /// request to the owning shard (or answer it from the dedup window), and
 /// mail the response back. Returns when the transport stops; unwinds on a
 /// seeded kill.
@@ -583,21 +587,20 @@ fn worker_loop<S>(
             }
             RecvOutcome::Stopped => return,
         };
-        state.dec.push(&bytes);
-        loop {
-            let frame = match state.dec.next_frame() {
-                Ok(Some(frame)) => frame,
-                Ok(None) => break,
-                Err(err) if err.is_recoverable() => {
-                    // A corrupted request: the checksum caught it and the
-                    // decoder skipped it. The sender's retransmission is
-                    // the recovery path; nothing to do here.
-                    continue;
-                }
-                Err(err) => panic!("unrecoverable request stream: {err}"),
-            };
-            handle_request::<S>(ctx, state, &frame, transport, obs);
+        // A frame the worker cannot serve is dropped unanswered: a
+        // corrupt one (the checksum caught it), or, from a socket peer, a
+        // well-framed one that is not a request or whose op does not
+        // decode. A client's retransmission is the recovery path.
+        let Ok(frame) = Frame::decode(&bytes) else {
+            continue;
+        };
+        if frame.kind != KIND_REQUEST {
+            continue;
         }
+        let Ok(op) = S::decode_op(&frame.payload) else {
+            continue;
+        };
+        handle_request::<S>(ctx, state, &frame, &op, transport, obs);
     }
 }
 
@@ -605,6 +608,7 @@ fn handle_request<S>(
     ctx: &WorkerCtx<S>,
     state: &mut WorkerState<S>,
     frame: &Frame,
+    op: &S::Op,
     transport: &dyn Transport,
     obs: &ServiceObs,
 ) where
@@ -613,7 +617,6 @@ fn handle_request<S>(
     S::Resp: Send + Sync,
 {
     let w = ctx.w;
-    assert_eq!(frame.kind, KIND_REQUEST, "worker received a non-request");
 
     // The seeded kill hook: die *before* applying, so an interrupted
     // request is either answered `Unavailable` (volatile — the client
@@ -630,13 +633,7 @@ fn handle_request<S>(
                         Delivery::Intact(control_frame(frame, KIND_UNAVAILABLE).to_bytes()),
                     );
                 }
-                Recovery::Durable => {
-                    let buffered = state.dec.take_buffered();
-                    if !buffered.is_empty() {
-                        transport.requeue_front(w, buffered);
-                    }
-                    transport.requeue_front(w, frame.to_bytes());
-                }
+                Recovery::Durable => transport.requeue_front(w, frame.to_bytes()),
             }
             std::panic::panic_any(SeededKill);
         }
@@ -655,8 +652,7 @@ fn handle_request<S>(
     debug_assert_eq!(shard_id % ctx.workers, w, "request routed to wrong worker");
     // Worker w owns shards w, w + workers, w + 2·workers, … in order.
     let idx = (shard_id - w) / ctx.workers;
-    let op = S::decode_op(&frame.payload).expect("decodable request");
-    let resp = state.shards.apply(idx, frame.key, &op);
+    let resp = state.shards.apply(idx, frame.key, op);
     obs.route.incr(w);
 
     let resp_bytes = response_frame::<S>(frame, &resp).to_bytes();
@@ -763,7 +759,7 @@ mod tests {
 
     #[test]
     fn lossy_transport_converges_with_exact_counts() {
-        // The fault plane, in miniature: heavy drop/dup/reorder/corrupt on
+        // The fault plane, in miniature: heavy drop/dup/corrupt/delay on
         // every lane, and the counter still ends exactly right because
         // retransmissions are deduped server-side.
         let mut svc = Service::builder(4)
@@ -808,36 +804,54 @@ mod tests {
         }
     }
 
-    #[test]
-    fn bounded_mailbox_sheds_with_busy_replies() {
-        // One worker, capacity 2, and the worker is slow to drain because
-        // we flood from the posting side before it wakes. Shed posts must
-        // produce Busy replies so accounting stays 1:1.
+    /// 256 requests in flight from one client into a one-slot inbox over
+    /// `transport`: every shed comes back as a `Busy` reply, and every
+    /// wait ends in a value or in `Busy`.
+    fn one_slot_inbox_sheds_with_busy_replies(transport: TransportConfig) {
+        let deadline = std::time::Duration::from_secs(1);
         let mut svc = Service::builder(1)
-            .mailbox_capacity(2)
+            .transport(transport)
+            .mailbox_capacity(1)
+            .retry(RetryPolicy::patient().with_deadline(deadline))
             .build(CounterSpec::new());
         let client = svc.client(0);
-        let posts = 64u64;
-        for i in 0..posts {
-            client.post_once(0, &CounterOp::Add(1 + (i % 3)));
-        }
-        let mut ok = 0u64;
-        let mut busy = 0u64;
-        for _ in 0..posts {
-            match client.take_next() {
+        let pending: Vec<_> = (0..256)
+            .map(|_| client.submit(0, &CounterOp::Inc))
+            .collect();
+        let (mut ok, mut busy) = (0u64, 0u64);
+        for p in pending {
+            match p.wait(std::time::Instant::now() + deadline) {
                 Ok(_) => ok += 1,
                 Err(e) if e.is_busy() => busy += 1,
-                Err(e) => panic!("unexpected error: {e}"),
+                Err(e) => panic!("a wait ended in neither a value nor Busy: {e}"),
             }
         }
-        assert_eq!(ok + busy, posts, "exactly one reply per post");
-        let applied = client.call(1, &CounterOp::Read).unwrap(); // other key: 0
-        assert_eq!(applied, 0);
-        let stats = svc.shutdown();
-        // Only the non-shed posts were applied (plus the read).
-        assert_eq!(stats[0].ops, ok + 1);
-        // `busy` may legitimately be zero if the worker kept up; the 1:1
-        // accounting above is the contract under test.
+        let snap = svc.obs_snapshot();
+        let applied = svc.shutdown()[0].ops;
+        // A retransmission sent after a Busy can still be applied after
+        // its wait gave up.
+        assert!(
+            (ok..=ok + busy).contains(&applied),
+            "applied {applied}, acked {ok}, busy {busy}"
+        );
+        if cfg!(feature = "obs") {
+            assert!(
+                snap.counter("service.shed") > 0,
+                "a one-slot inbox must shed"
+            );
+        }
+    }
+
+    #[test]
+    fn bounded_mailbox_sheds_with_busy_replies_in_process() {
+        one_slot_inbox_sheds_with_busy_replies(TransportConfig::InProcess);
+    }
+
+    #[test]
+    fn bounded_mailbox_sheds_with_busy_replies_over_unix() {
+        let path = std::env::temp_dir().join(format!("sbu-shed-{}.sock", std::process::id()));
+        one_slot_inbox_sheds_with_busy_replies(TransportConfig::Unix(path.clone()));
+        let _ = std::fs::remove_file(path);
     }
 
     #[test]

@@ -9,10 +9,10 @@
 //!
 //! Failure containment: a [`WireError::BadLength`] on a live stream kills
 //! *only that connection* (typed close, counted as `service.conn_drop`);
-//! the worker survives and keeps serving every other connection. This is
-//! deliberately different from the worker-side decoder, where a bad length
-//! is unrecoverable — readers forward only complete re-encoded frames, so
-//! the inbox stream stays clean by construction.
+//! the worker survives and keeps serving every other connection. Readers
+//! forward only complete re-encoded frames, one per inbox blob, so a
+//! worker never sees a partial frame; a well-framed frame it cannot serve
+//! (not a request, an undecodable op) it drops like a corrupt one.
 //!
 //! Instruments (lane `workers + clients`, single-writer via a mutex):
 //! `service.accept`, `service.conn_drop`, `service.read_syscall`,
@@ -32,9 +32,7 @@ use std::time::{Duration, Instant};
 use sbu_obs::Counter;
 
 use crate::route::ShardMap;
-use crate::transport::{
-    ClientConn, ConnEvent, Delivery, Mailbox, RecvOutcome, SendOutcome, Transport,
-};
+use crate::transport::{ClientConn, ConnEvent, Delivery, Mailbox, RecvOutcome, Transport};
 use crate::wire::{control_frame, FrameDecoder, KIND_BUSY};
 
 /// How long a reader blocks in `read` before rechecking the stop flag.
@@ -429,7 +427,7 @@ fn spawn_reader(
                             // Claim (or reclaim) the writer slot for this
                             // client id. The check must go through the map,
                             // not a connection-local cache: a fault plane
-                            // that reorders requests across clients can
+                            // that delays requests across clients can
                             // carry client A's frame over client B's
                             // stream, whose reader then claims A's slot —
                             // and A's own retransmits must win it back or
@@ -447,7 +445,7 @@ fn spawn_reader(
                                 registered.push(frame.client);
                             }
                             let worker = map.shard_of(frame.key) % workers;
-                            if !inboxes[worker].try_push(frame.to_bytes()) {
+                            if inboxes[worker].try_push(frame.to_bytes()).is_err() {
                                 // Inbox at its high watermark: answer Busy
                                 // directly so the client's retry loop backs
                                 // off — the socket itself never blocks on a
@@ -539,10 +537,10 @@ impl SocketConn {
 }
 
 impl ClientConn for SocketConn {
-    fn send(&mut self, _worker: usize, delivery: Delivery) -> SendOutcome {
-        // Socket clients never shed locally: overload comes back from the
-        // server as a Busy control frame. Write failures are losses — the
-        // retry loop's retransmission recovers them.
+    fn send(&mut self, _worker: usize, delivery: Delivery) {
+        // Overload comes back from the server as a Busy control frame.
+        // Write failures are losses — the retry loop's retransmission
+        // recovers them.
         match delivery {
             Delivery::Intact(bytes) => {
                 let ok = match self.ensure_stream() {
@@ -561,7 +559,6 @@ impl ClientConn for SocketConn {
                 self.poison();
             }
         }
-        SendOutcome::Sent
     }
 
     fn recv_until(&mut self, until: Instant) -> ConnEvent {

@@ -20,12 +20,16 @@
 //!   listener: an acceptor thread plus per-connection readers feeding the
 //!   same per-worker inboxes through [`crate::FrameDecoder`].
 //! * [`crate::fault::Faulty`] — the seeded fault injector, now a *wrapper*
-//!   over any inner transport: it drops/duplicates/reorders/corrupts/
-//!   delays/truncates frames on their way into the inner transport, so the
-//!   same fault battery runs over mailboxes and over real sockets.
+//!   over any inner transport: it drops/duplicates/corrupts/delays/
+//!   truncates frames on their way into the inner transport, so the same
+//!   fault battery runs over mailboxes and over real sockets.
 //!
 //! A transport is picked with [`TransportConfig`] on
 //! [`crate::Service::builder`].
+//!
+//! Every blob a request inbox or an in-process reply box holds is exactly
+//! one encoded frame, and an inbox at its high watermark is answered with
+//! a [`KIND_BUSY`] frame to the refused frame's client on every carrier.
 
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
@@ -34,7 +38,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use crate::wire::{Frame, FrameDecoder};
+use crate::wire::{control_frame, Frame, KIND_BUSY};
 
 /// Which transport a [`crate::Service`] is built on.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -88,18 +92,6 @@ pub enum Delivery {
     Truncated(Vec<u8>),
 }
 
-/// What happened to a sent request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SendOutcome {
-    /// Handed to the transport (which may still lose it — loss surfaces as
-    /// a missing reply, recovered by retransmission).
-    Sent,
-    /// Rejected locally at the inbox high watermark; the caller owns the
-    /// `Busy` outcome. Socket transports never shed locally — their
-    /// server-side readers answer with a `Busy` control frame instead.
-    Shed,
-}
-
 /// One receive from a worker's request stream.
 #[derive(Debug)]
 pub enum RecvOutcome {
@@ -142,9 +134,9 @@ pub trait Transport: Send + Sync {
     /// never shed — clients drain what they asked for.
     fn send_reply(&self, client: u32, delivery: Delivery);
 
-    /// Put raw bytes back at the *front* of `worker`'s request queue,
-    /// bypassing any fault injection — the durable kill path restores the
-    /// in-flight frame exactly where it was.
+    /// Put an encoded frame back at the *front* of `worker`'s request
+    /// queue, bypassing any fault injection — the durable kill path
+    /// restores the in-flight frame exactly where it was.
     fn requeue_front(&self, worker: usize, bytes: Vec<u8>);
 
     /// Open a client connection. For socket transports the dial is lazy
@@ -168,8 +160,9 @@ pub trait Transport: Send + Sync {
 pub trait ClientConn: Send {
     /// Send an encoded request toward the worker that owns its key. Socket
     /// transports ignore the `worker` hint — the server routes inbound
-    /// frames itself.
-    fn send(&mut self, worker: usize, delivery: Delivery) -> SendOutcome;
+    /// frames itself. Nothing comes back here: a loss surfaces as a
+    /// missing reply, a full inbox as a `Busy` reply.
+    fn send(&mut self, worker: usize, delivery: Delivery);
 
     /// Wait for the next reply-stream event, at most until `until`. A
     /// frame the connection already holds is returned even when `until`
@@ -183,8 +176,9 @@ pub trait ClientConn: Send {
     fn reconnect(&mut self) -> bool;
 }
 
-/// A byte-blob queue with a wakeup signal and an optional high watermark —
-/// the shared inbox core of both the in-process and the socket transport.
+/// A queue of encoded frames, one per blob, with a wakeup signal and an
+/// optional high watermark — the shared inbox core of both the in-process
+/// and the socket transport.
 pub(crate) struct Mailbox {
     queue: Mutex<VecDeque<Vec<u8>>>,
     ready: Condvar,
@@ -207,17 +201,17 @@ impl Mailbox {
         self.ready.notify_one();
     }
 
-    /// Push a request, shedding at the high watermark: `false` means the
-    /// frame was *not* queued and the caller owns the `Busy` outcome.
-    pub(crate) fn try_push(&self, bytes: Vec<u8>) -> bool {
+    /// Push a request, shedding at the high watermark: `Err` hands back a
+    /// frame that was *not* queued, for the caller to answer `Busy`.
+    pub(crate) fn try_push(&self, bytes: Vec<u8>) -> Result<(), Vec<u8>> {
         let mut q = self.queue.lock();
         if self.capacity > 0 && q.len() >= self.capacity {
-            return false;
+            return Err(bytes);
         }
         q.push_back(bytes);
         drop(q);
         self.ready.notify_one();
-        true
+        Ok(())
     }
 
     /// Requeue bytes at the front (the durable kill path).
@@ -326,18 +320,22 @@ struct InProcessConn {
 }
 
 impl ClientConn for InProcessConn {
-    fn send(&mut self, worker: usize, delivery: Delivery) -> SendOutcome {
-        match delivery {
-            Delivery::Intact(bytes) => {
-                if self.transport.inboxes[worker].try_push(bytes) {
-                    SendOutcome::Sent
-                } else {
-                    SendOutcome::Shed
-                }
+    fn send(&mut self, worker: usize, delivery: Delivery) {
+        // A truncated request never reaches an inbox: a worker decodes
+        // each blob as one whole frame, so a cut one is simply a loss.
+        let Delivery::Intact(bytes) = delivery else {
+            return;
+        };
+        let Err(bytes) = self.transport.inboxes[worker].try_push(bytes) else {
+            return;
+        };
+        // Shed at the watermark: answer `Busy` to the frame's own client,
+        // as the socket reader does. A refused frame that fails its
+        // checksum gets no answer, as the worker would have dropped it.
+        if let Ok(frame) = Frame::decode(&bytes) {
+            if let Some(replies) = self.transport.replies.get(frame.client as usize) {
+                replies.push(control_frame(&frame, KIND_BUSY).to_bytes());
             }
-            // A truncated request never reaches the worker's decoder (a
-            // partial blob would poison the shared stream); it is a loss.
-            Delivery::Truncated(_) => SendOutcome::Sent,
         }
     }
 
@@ -345,13 +343,10 @@ impl ClientConn for InProcessConn {
         let Some(bytes) = self.transport.replies[self.client as usize].pop_until(until) else {
             return ConnEvent::Timeout;
         };
-        // Each mailbox blob is one encoded frame; decode it one-shot.
-        let mut dec = FrameDecoder::new();
-        dec.push(&bytes);
-        match dec.next_frame() {
-            Ok(Some(frame)) => ConnEvent::Frame(frame),
-            // Incomplete or corrupted blob: detected, counted upstream.
-            Ok(None) | Err(_) => ConnEvent::Garbled,
+        match Frame::decode(&bytes) {
+            Ok(frame) => ConnEvent::Frame(frame),
+            // A corrupted blob: detected, counted upstream.
+            Err(_) => ConnEvent::Garbled,
         }
     }
 
@@ -383,12 +378,12 @@ mod tests {
     #[test]
     fn bounded_mailbox_sheds_and_unbounded_does_not() {
         let bounded = Mailbox::new(2);
-        assert!(bounded.try_push(vec![1]));
-        assert!(bounded.try_push(vec![2]));
-        assert!(!bounded.try_push(vec![3]), "watermark at 2");
+        assert_eq!(bounded.try_push(vec![1]), Ok(()));
+        assert_eq!(bounded.try_push(vec![2]), Ok(()));
+        assert_eq!(bounded.try_push(vec![3]), Err(vec![3]), "watermark at 2");
         let unbounded = Mailbox::new(0);
         for i in 0..100u8 {
-            assert!(unbounded.try_push(vec![i]));
+            assert_eq!(unbounded.try_push(vec![i]), Ok(()));
         }
     }
 

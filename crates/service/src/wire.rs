@@ -8,11 +8,11 @@
 //!
 //! `len` counts every byte after itself (checksum included), so a byte
 //! stream of frames is self-delimiting; [`FrameDecoder`] reassembles frames
-//! from arbitrary chunk boundaries (it is fed whole frames by the
-//! in-process queues today, but the same decoder drops onto a socket
-//! transport unchanged — that is the layering seam). `crc` is an FNV-1a-32
-//! checksum of everything after itself: a faulty transport that flips bytes
-//! in flight (see [`crate::FaultProfile`]) is caught here, surfaced as the
+//! from the arbitrary chunk boundaries of a socket stream. A queued blob is
+//! always exactly one frame, so the worker inbox and the in-process reply
+//! boxes decode each blob once, whole. `crc` is an FNV-1a-32 checksum of
+//! everything after itself: a faulty transport that flips bytes in flight
+//! (see [`crate::FaultProfile`]) is caught here, surfaced as the
 //! *recoverable* [`WireError::Corrupt`] — the decoder skips the damaged
 //! frame and resynchronizes on the next one, and the retry layer treats the
 //! loss like a drop.
@@ -176,6 +176,51 @@ impl Frame {
     pub fn is_control(&self) -> bool {
         self.kind == KIND_BUSY || self.kind == KIND_UNAVAILABLE
     }
+
+    /// Decode one whole encoded frame: exactly the bytes
+    /// [`encode`](Self::encode) wrote, as a queued blob holds them.
+    pub(crate) fn decode(bytes: &[u8]) -> Result<Frame, WireError> {
+        match frame_len(bytes)? {
+            Some(len) if bytes.len() == 4 + len => Self::decode_body(&bytes[4..]),
+            // A blob cut short, or with bytes past its frame.
+            len => Err(WireError::BadLength {
+                len: len.unwrap_or(0) as u64,
+                buffered: bytes.len(),
+            }),
+        }
+    }
+
+    /// Check and parse the bytes after a frame's length prefix.
+    fn decode_body(body: &[u8]) -> Result<Frame, WireError> {
+        let expected = u32::from_le_bytes(body[..4].try_into().expect("4 bytes"));
+        let found = checksum(&body[4..]);
+        if expected != found {
+            return Err(WireError::Corrupt { expected, found });
+        }
+        Ok(Frame {
+            kind: body[4],
+            client: u32::from_le_bytes(body[5..9].try_into().expect("4 bytes")),
+            seq: u64::from_le_bytes(body[9..17].try_into().expect("8 bytes")),
+            key: u64::from_le_bytes(body[17..25].try_into().expect("8 bytes")),
+            payload: body[HEADER..].to_vec(),
+        })
+    }
+}
+
+/// The body length the frame at the start of `bytes` announces, checked
+/// against the protocol's bounds; `None` until all 4 prefix bytes are in.
+fn frame_len(bytes: &[u8]) -> Result<Option<usize>, WireError> {
+    let Some(prefix) = bytes.get(..4) else {
+        return Ok(None);
+    };
+    let len = u32::from_le_bytes(prefix.try_into().expect("4 bytes")) as usize;
+    if !(HEADER..=MAX_FRAME_LEN).contains(&len) {
+        return Err(WireError::BadLength {
+            len: len as u64,
+            buffered: bytes.len(),
+        });
+    }
+    Ok(Some(len))
 }
 
 /// Incremental frame reassembly from a byte stream with arbitrary chunk
@@ -209,20 +254,11 @@ impl FrameDecoder {
         self.buf.extend_from_slice(bytes);
     }
 
-    /// Drop everything buffered (used when a worker respawns: the byte
-    /// stream restarts at a frame boundary).
+    /// Drop everything buffered (used when a connection is torn down: the
+    /// next stream starts at a frame boundary).
     pub fn reset(&mut self) {
         self.buf.clear();
         self.at = 0;
-    }
-
-    /// Take the not-yet-consumed bytes out of the decoder, leaving it
-    /// empty — the durable kill path uses this to requeue whatever was
-    /// behind the in-flight frame.
-    pub fn take_buffered(&mut self) -> Vec<u8> {
-        let rest = self.buf.split_off(self.at);
-        self.reset();
-        rest
     }
 
     /// How many fed bytes are still waiting for the rest of their frame.
@@ -242,37 +278,20 @@ impl FrameDecoder {
     /// the connection.
     pub fn next_frame(&mut self) -> Result<Option<Frame>, WireError> {
         let pending = &self.buf[self.at..];
-        if pending.len() < 4 {
+        let Some(len) = frame_len(pending)? else {
             return Ok(None);
-        }
-        let len = u32::from_le_bytes(pending[..4].try_into().expect("4 bytes")) as usize;
-        if !(HEADER..=MAX_FRAME_LEN).contains(&len) {
-            return Err(WireError::BadLength {
-                len: len as u64,
-                buffered: pending.len(),
-            });
-        }
+        };
         if pending.len() < 4 + len {
             return Ok(None);
         }
-        let body = pending[4..4 + len].to_vec();
+        // The frame is consumed whether or not its checksum holds.
+        let frame = Frame::decode_body(&pending[4..4 + len]);
         self.at += 4 + len;
         if self.at * 2 > self.buf.len() {
             self.buf.drain(..self.at);
             self.at = 0;
         }
-        let expected = u32::from_le_bytes(body[..4].try_into().expect("4 bytes"));
-        let found = checksum(&body[4..]);
-        if expected != found {
-            return Err(WireError::Corrupt { expected, found });
-        }
-        Ok(Some(Frame {
-            kind: body[4],
-            client: u32::from_le_bytes(body[5..9].try_into().expect("4 bytes")),
-            seq: u64::from_le_bytes(body[9..17].try_into().expect("8 bytes")),
-            key: u64::from_le_bytes(body[17..25].try_into().expect("8 bytes")),
-            payload: body[HEADER..].to_vec(),
-        }))
+        frame.map(Some)
     }
 }
 
@@ -547,6 +566,24 @@ mod tests {
             }
             assert_eq!(got, frames, "chunk size {chunk}");
         }
+    }
+
+    #[test]
+    fn one_shot_decode_takes_exactly_one_whole_frame() {
+        let frame = request_frame::<CounterSpec>(4, 8, 15, &CounterOp::Add(16));
+        let bytes = frame.to_bytes();
+        assert_eq!(Frame::decode(&bytes), Ok(frame));
+        for cut in [0, 3, bytes.len() - 1] {
+            let err = Frame::decode(&bytes[..cut]).unwrap_err();
+            assert!(matches!(err, WireError::BadLength { .. }), "cut at {cut}");
+        }
+        let two = [&bytes[..], &bytes[..]].concat();
+        let err = Frame::decode(&two).unwrap_err();
+        assert!(matches!(err, WireError::BadLength { .. }), "{err:?}");
+        let mut flipped = bytes;
+        *flipped.last_mut().expect("non-empty") ^= 1;
+        let err = Frame::decode(&flipped).unwrap_err();
+        assert!(matches!(err, WireError::Corrupt { .. }), "{err:?}");
     }
 
     #[test]

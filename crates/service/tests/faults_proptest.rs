@@ -1,6 +1,6 @@
 //! The no-double-apply property, machine-checked: under a seeded lossy
-//! transport with drop, duplication, reordering, corruption and delay all
-//! active at ≥ 10%, `N` acked increments leave the counter at exactly `N`.
+//! transport with drop, duplication and corruption at ≥ 10% and delay at
+//! 5–10%, `N` acked increments leave the counter at exactly `N`.
 //!
 //! This is the exactly-once contract end to end: drops force the client to
 //! retransmit (same `(client, seq)`), duplication hands the worker the
@@ -18,8 +18,8 @@
 //! 2–8 requests in flight per client (`submit`, then `wait` on the oldest),
 //! in-process and over a Unix socket, so the client's FIFO loss signal —
 //! retransmit an older request once a later one's reply overtakes it —
-//! fires under the same faults, spuriously too whenever reordering or
-//! delay overtakes a reply that was not lost.
+//! fires under the same faults, spuriously too whenever a delay lets a
+//! later reply overtake one that was not lost.
 
 use proptest::prelude::*;
 use sbu_service::{FaultProfile, RetryPolicy, Service, TransportConfig};
@@ -28,12 +28,12 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-/// A loss-heavy profile with every honest fault at or above 10%.
-fn heavy(drop: f64, duplicate: f64, reorder: f64, disconnect: f64) -> FaultProfile {
+/// A loss-heavy profile: the given drop, duplication and disconnect rates,
+/// 10% corruption and 5% delay.
+fn heavy(drop: f64, duplicate: f64, disconnect: f64) -> FaultProfile {
     FaultProfile {
         drop,
         duplicate,
-        reorder,
         corrupt: 0.10,
         delay: 0.05,
         disconnect,
@@ -42,8 +42,8 @@ fn heavy(drop: f64, duplicate: f64, reorder: f64, disconnect: f64) -> FaultProfi
 }
 
 /// One pipelined case: a 4-shard, 2-worker service on `transport` under
-/// drop, duplication and reordering at the given permille plus 10%
-/// corruption and delay. Each client issues `per_client` increments with
+/// drop and duplication at the given permille plus 10% corruption and
+/// delay. Each client sends `per_client` increments with
 /// up to `depth` in flight, waiting on the oldest first; returns the
 /// counters read back, summed over `keys`.
 fn pipelined_total(
@@ -53,16 +53,11 @@ fn pipelined_total(
     per_client: usize,
     keys: u64,
     depth: usize,
-    (drop_pm, duplicate_pm, reorder_pm): (u64, u64, u64),
+    (drop_pm, duplicate_pm): (u64, u64),
 ) -> u64 {
     let profile = FaultProfile {
         delay: 0.10,
-        ..heavy(
-            drop_pm as f64 / 1000.0,
-            duplicate_pm as f64 / 1000.0,
-            reorder_pm as f64 / 1000.0,
-            0.0,
-        )
+        ..heavy(drop_pm as f64 / 1000.0, duplicate_pm as f64 / 1000.0, 0.0)
     };
     let mut svc = Service::builder(4)
         .workers(2)
@@ -120,9 +115,9 @@ proptest! {
     })]
 
     /// N acked increments ⇒ counter reads exactly N, for arbitrary seeds,
-    /// topologies, and fault rates ≥ 10% drop/dup/reorder (drawn in
-    /// permille, 100‰..200‰, since that is what the vendored proptest's
-    /// integer ranges can express).
+    /// topologies, and fault rates ≥ 10% drop/dup (drawn in permille,
+    /// 100‰..200‰, since that is what the vendored proptest's integer
+    /// ranges can express).
     #[test]
     fn acked_increments_apply_exactly_once(
         seed in any::<u64>(),
@@ -131,17 +126,12 @@ proptest! {
         keys in 1u64..7,
         drop_pm in 100u64..201,
         duplicate_pm in 100u64..201,
-        reorder_pm in 100u64..201,
     ) {
-        let (drop, duplicate, reorder) = (
-            drop_pm as f64 / 1000.0,
-            duplicate_pm as f64 / 1000.0,
-            reorder_pm as f64 / 1000.0,
-        );
+        let (drop, duplicate) = (drop_pm as f64 / 1000.0, duplicate_pm as f64 / 1000.0);
         let mut svc = Service::builder(4)
             .workers(2)
             .clients(clients)
-            .fault(heavy(drop, duplicate, reorder, 0.0))
+            .fault(heavy(drop, duplicate, 0.0))
             .retry(RetryPolicy::lossy().with_deadline(std::time::Duration::from_secs(60)))
             .seed(seed)
             .build(CounterSpec::new());
@@ -205,7 +195,6 @@ proptest! {
         let profile = FaultProfile {
             drop: 0.05,
             duplicate: 0.05,
-            reorder: 0.0,
             corrupt: corrupt_pm as f64 / 1000.0,
             delay: 0.0,
             disconnect: disconnect_pm as f64 / 1000.0,
@@ -263,8 +252,8 @@ proptest! {
     })]
 
     /// Pipelined: N acked increments ⇒ counter reads exactly N with 2–8
-    /// requests in flight per client, under drop, duplication and
-    /// reordering at 10–20% and corruption and delay at 10%.
+    /// requests in flight per client, under drop and duplication at
+    /// 10–20% and corruption and delay at 10%.
     #[test]
     fn pipelined_increments_apply_exactly_once(
         seed in any::<u64>(),
@@ -274,9 +263,8 @@ proptest! {
         depth in 2usize..9,
         drop_pm in 100u64..201,
         duplicate_pm in 100u64..201,
-        reorder_pm in 100u64..201,
     ) {
-        let rates = (drop_pm, duplicate_pm, reorder_pm);
+        let rates = (drop_pm, duplicate_pm);
         let total =
             pipelined_total(TransportConfig::InProcess, seed, clients, per_client, keys, depth, rates);
         prop_assert_eq!(
@@ -304,10 +292,9 @@ proptest! {
         depth in 2usize..9,
         drop_pm in 100u64..201,
         duplicate_pm in 100u64..201,
-        reorder_pm in 100u64..201,
     ) {
         let path = scratch_socket();
-        let rates = (drop_pm, duplicate_pm, reorder_pm);
+        let rates = (drop_pm, duplicate_pm);
         let unix = TransportConfig::Unix(path.clone());
         let total = pipelined_total(unix, seed, clients, per_client, keys, depth, rates);
         let _ = std::fs::remove_file(&path);

@@ -15,11 +15,10 @@
 //! Both run in-process and over a Unix-domain socket.
 
 use sbu_service::{
-    request_frame, response_frame, FaultProfile, FaultyChannel, InjectObs, RetryPolicy, Service,
-    TransportConfig,
+    request_frame, response_frame, Admission, FaultProfile, FaultyChannel, InjectObs, RetryPolicy,
+    Service, TransportConfig,
 };
 use sbu_spec::specs::{CounterOp, CounterSpec};
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
@@ -66,9 +65,7 @@ fn delivered(seed: u64, lane: usize, n: usize, response: bool) -> Vec<bool> {
             } else {
                 req
             };
-            let mut queue = VecDeque::new();
-            chan.admit(frame.to_bytes(), &mut queue, &inject);
-            !queue.is_empty()
+            matches!(chan.admit(frame.to_bytes(), &inject), Admission::Delivered(f) if !f.is_empty())
         })
         .collect()
 }

@@ -1,17 +1,20 @@
 //! The socket transport end to end: TCP and Unix-domain loopback through
 //! the real kernel, the per-connection blast radius of a poisoned byte
-//! stream, determinism of socket-backed load reports, the cross-client
-//! misrouting regression (a reordering fault plane carrying one client's
-//! frames over another client's stream), and a held reply winning over an
-//! expired deadline.
+//! stream, well-framed frames a worker cannot serve, determinism of
+//! socket-backed load reports, the cross-client misrouting regressions (a
+//! fault plane carrying one client's frames over another client's stream,
+//! and two streams claiming one client id), and a held reply winning over
+//! an expired deadline.
 
 use sbu_service::loadgen::{self, LoadgenConfig};
 use sbu_service::{
-    request_frame, response_frame, ClientConn, ConnEvent, Delivery, FaultProfile, RetryPolicy,
-    Service, SocketConn, TransportConfig,
+    request_frame, response_frame, ClientConn, ConnEvent, Delivery, FaultProfile, Frame,
+    FrameDecoder, RetryPolicy, Service, SocketConn, TransportConfig, WireCodec, KIND_RESPONSE,
 };
 use sbu_spec::specs::{CounterOp, CounterSpec};
-use std::io::Write;
+use std::io::{Read, Write};
+use std::os::unix::net::UnixStream;
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
@@ -23,6 +26,45 @@ fn scratch_socket(tag: &str) -> std::path::PathBuf {
         std::process::id(),
         NEXT.fetch_add(1, Ordering::Relaxed)
     ))
+}
+
+/// A raw Unix-socket peer that speaks the wire protocol by hand.
+struct Peer {
+    stream: UnixStream,
+    dec: FrameDecoder,
+}
+
+impl Peer {
+    fn dial(path: &Path) -> Self {
+        let stream = UnixStream::connect(path).expect("dial");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("read timeout");
+        Self {
+            stream,
+            dec: FrameDecoder::new(),
+        }
+    }
+
+    fn send(&mut self, frame: &Frame) {
+        self.stream
+            .write_all(&frame.to_bytes())
+            .expect("write frame");
+    }
+
+    /// The next frame on the stream, or `None` if none comes within 5 s.
+    fn recv(&mut self) -> Option<Frame> {
+        let mut buf = [0u8; 256];
+        loop {
+            if let Some(frame) = self.dec.next_frame().expect("a clean reply stream") {
+                return Some(frame);
+            }
+            match self.stream.read(&mut buf) {
+                Ok(0) | Err(_) => return None,
+                Ok(n) => self.dec.push(&buf[..n]),
+            }
+        }
+    }
 }
 
 #[test]
@@ -103,6 +145,85 @@ fn garbage_bytes_kill_only_their_connection() {
 }
 
 #[test]
+fn frames_a_worker_cannot_serve_never_kill_it() {
+    // Three well-framed frames from a raw peer, to each worker: a kind
+    // other than a request, an op the spec cannot decode, and a request
+    // from a client id the service never built, under a fault profile
+    // (which keeps reply lanes only for the clients it built). The worker
+    // drops the first two and serves the third, whose reply passes the
+    // fault plane undamaged; the service's own clients keep being served.
+    let path = scratch_socket("unservable");
+    let mut svc = Service::builder(4)
+        .workers(2)
+        .clients(2)
+        .transport(TransportConfig::Unix(path.clone()))
+        .fault(FaultProfile::lossy())
+        .retry(RetryPolicy::lossy().with_deadline(Duration::from_secs(10)))
+        .build(CounterSpec::new());
+    let map = svc.shard_map();
+    let keys: Vec<u64> = (0..2)
+        .map(|w| (0..).find(|&k| map.shard_of(k) % 2 == w).expect("a key"))
+        .collect();
+    let mut peer = Peer::dial(&path);
+    for (at, &key) in keys.iter().enumerate() {
+        let seq = 3 * at as u64;
+        let request = request_frame::<CounterSpec>(99, seq + 2, key, &CounterOp::Inc);
+        peer.send(&Frame {
+            kind: KIND_RESPONSE,
+            seq,
+            ..request.clone()
+        });
+        peer.send(&Frame {
+            seq: seq + 1,
+            payload: vec![0xFF],
+            ..request.clone()
+        });
+        peer.send(&request);
+        let reply = peer.recv().expect("worker alive, reply undamaged");
+        assert_eq!(
+            (reply.kind, reply.client, reply.seq),
+            (KIND_RESPONSE, 99, seq + 2)
+        );
+        assert_eq!(CounterSpec::decode_resp(&reply.payload), Ok(1));
+    }
+    for &key in &keys {
+        for client in 0..2 {
+            svc.client(client)
+                .call(key, &CounterOp::Inc)
+                .unwrap_or_else(|e| panic!("client {client} key {key}: {e}"));
+        }
+    }
+    svc.shutdown();
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn a_client_id_claimed_by_two_streams_is_answered_on_its_owners() {
+    // Two streams claim client 7 in turn. The writer claim must be checked
+    // against the shared map on every frame: a per-connection "already
+    // registered" cache would answer the owner's next request on the
+    // other stream.
+    let path = scratch_socket("claim");
+    let mut svc = Service::builder(1)
+        .transport(TransportConfig::Unix(path.clone()))
+        .build(CounterSpec::new());
+    let request = |seq| request_frame::<CounterSpec>(7, seq, 1, &CounterOp::Inc);
+    let (mut owner, mut other) = (Peer::dial(&path), Peer::dial(&path));
+    owner.send(&request(0));
+    assert_eq!(owner.recv().map(|f| f.seq), Some(0));
+    other.send(&request(100));
+    assert_eq!(other.recv().map(|f| f.seq), Some(100));
+    owner.send(&request(1));
+    assert_eq!(
+        owner.recv().map(|f| f.seq),
+        Some(1),
+        "the owner's request is answered on its own stream"
+    );
+    svc.shutdown();
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
 fn loopback_reports_are_deterministic() {
     // Two same-seed runs over real kernel sockets: wall-clock and syscall
     // counts differ run to run, but every data-derived report field is a
@@ -142,16 +263,17 @@ fn loopback_reports_are_deterministic() {
 
 #[test]
 fn reordering_across_clients_keeps_replies_exact() {
-    // Regression: the fault plane's shared per-worker request lanes can
-    // release a frame held from client A into client B's stream. The
-    // server must let A's retransmits reclaim A's writer slot (not cache
-    // the claim per connection), and B must never ack its own op with A's
-    // same-seq reply. Before those fixes this config wedged, then
-    // miscounted.
+    // Regression soak: the fault plane's shared per-worker request lanes
+    // can release a frame delayed from client A into client B's stream.
+    // The server must let A's retransmits reclaim A's writer slot (not
+    // cache the claim per connection), and B must never ack its own op
+    // with A's same-seq reply. Before those fixes this config wedged, then
+    // miscounted. It depends on socket timing; the deterministic guards
+    // are `a_client_id_claimed_by_two_streams_is_answered_on_its_owners`
+    // here and the client's own foreign-reply test.
     let profile = FaultProfile {
         drop: 0.10,
         duplicate: 0.10,
-        reorder: 0.20,
         corrupt: 0.10,
         delay: 0.05,
         disconnect: 0.0,

@@ -7,15 +7,18 @@
 //! cargo run --release --example service_loadgen -- --skew zipf:0.99 --mode open
 //! cargo run --release --example service_loadgen -- --remote unix:///tmp/sbu.sock --mode mixed --lossy
 //! cargo run --release --example service_loadgen -- --remote tcp://127.0.0.1:7600 --ops 50000
+//! cargo run --release --example service_loadgen -- --mode mixed --lossy --ops 2000
 //! ```
 //!
 //! `--remote tcp://HOST:PORT | unix://PATH` moves every frame onto a real
 //! kernel socket (the service binds the endpoint; its clients dial it), and
 //! `--lossy` layers the seeded byte-level fault profile on top — drops,
-//! duplicates, corruption — so retransmission and `(client, seq)` dedup do
-//! real work. `--mode mixed` runs a closed-loop leg and a windowed
-//! open-loop leg back to back and prints the exactly-once evidence for
-//! each: the sum of per-shard applied ops must equal the acked op count.
+//! duplicates, corruption, delays — so retransmission and `(client, seq)`
+//! dedup do real work, on any transport and in any loop mode. `--mode
+//! mixed` runs a closed-loop leg and a windowed open-loop leg back to back
+//! and prints the exactly-once evidence for each: the sum of per-shard
+//! applied ops must equal the acked op count. The exit code is 0 only when
+//! every leg holds it.
 //!
 //! Prints one human table plus the per-shard breakdown; add `--features
 //! obs` for the `service.*` instrument table. The workload is a seeded
@@ -144,13 +147,6 @@ fn main() -> ExitCode {
     }
     if !config.shards.is_power_of_two() {
         eprintln!("--shards must be a power of two");
-        return usage();
-    }
-    let in_process = matches!(config.transport, TransportConfig::InProcess);
-    if config.fault.is_some() && in_process && (mixed || config.mode == LoopMode::Open) {
-        // The in-process open loop is the legacy fire-and-forget path with
-        // no retransmission; lossy open-loop runs need a socket endpoint.
-        eprintln!("--lossy with an open/mixed loop needs --remote (retransmitting socket client)");
         return usage();
     }
 

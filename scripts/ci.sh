@@ -138,6 +138,10 @@ grep -Eq '"core\.batch_size"' OBS_e14.json || {
     exit 1
 }
 
+step "lossy in-process loadgen (closed and open legs under the lossy profile; exit 0 only when both are exactly-once)"
+cargo run --release --quiet --offline --example service_loadgen -- \
+    --mode mixed --lossy --ops 2000 --clients 2 --workers 2 --shards 4 >/dev/null
+
 step "socket transport smoke (exp e15 --smoke: lossy unix socket, exactly-once with live accepts)"
 rm -f OBS_e15.json
 cargo run --release --quiet --offline --features obs -p sbu-bench --bin exp -- e15 --smoke >/dev/null
