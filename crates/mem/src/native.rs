@@ -10,18 +10,28 @@
 //! [`WordMem::alloc_sticky_bits`] share a word, so a Figure 2 sticky byte
 //! snapshots *all* of its bits with a single load
 //! ([`WordMem::sticky_read_word`]); bits allocated individually get a word
-//! (and a cache line) of their own, so unrelated objects never contend.
+//! of their own, so unrelated objects never contend on one compare-exchange.
 //!
-//! Every register is [`CachePadded`]: the cell pool of the bounded
-//! universal construction is written by many processors at once, and false
-//! sharing between neighbouring registers was the dominant cost at 4+
-//! threads before padding.
+//! The arena has two layouts, chosen once at construction. The operations
+//! and their `SeqCst` orderings are the same in both; only where registers
+//! sit differs, and the allocation census counts registers, never padding.
+//!
+//! * **Shared** ([`NativeMem::new`], `Default`): every register is
+//!   [`CachePadded`] to 128 bytes, so no two registers share a cache line.
+//!   The cell pool of the bounded universal construction is written by
+//!   many processors at once, and false sharing between neighbouring
+//!   registers was the dominant cost at 4+ threads before padding.
+//! * **Single-owner** ([`NativeMem::single_owner`]): registers are packed
+//!   back to back. An arena that one thread alone touches — a service
+//!   shard, owned by one worker — has no false sharing to prevent. Packed,
+//!   an `n = 1` service key costs ~6 KB instead of ~43 KB.
 
 use crate::{
     AtomicId, CachePadded, DataId, DataMem, JamOutcome, Pid, SafeId, StickyBitId, StickyWordId,
     TasId, Tri, Word, WordMem, STICKY_WORD_UNDEF,
 };
 use parking_lot::RwLock;
+use std::ops::Index;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// 2-bit lane encodings of `{⊥, 0, 1}`.
@@ -78,19 +88,68 @@ impl LaneRef {
 /// assert_eq!(mem.sticky_jam(Pid(1), s, false), JamOutcome::Fail);
 /// assert_eq!(mem.sticky_read(Pid(1), s), Tri::One);
 /// ```
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct NativeMem<P> {
-    safes: Vec<CachePadded<AtomicU64>>,
-    atomics: Vec<CachePadded<AtomicU64>>,
+    safes: Slots<AtomicU64>,
+    atomics: Slots<AtomicU64>,
     /// Packed 2-bit sticky lanes; see [`LaneRef`].
-    sticky_lanes: Vec<CachePadded<AtomicU64>>,
+    sticky_lanes: Slots<AtomicU64>,
     /// `StickyBitId` → lane location.
     sticky_map: Vec<LaneRef>,
-    sticky_words: Vec<CachePadded<AtomicU64>>,
-    tas_bits: Vec<CachePadded<AtomicBool>>,
-    data: Vec<CachePadded<RwLock<Option<P>>>>,
+    sticky_words: Slots<AtomicU64>,
+    tas_bits: Slots<AtomicBool>,
+    data: Slots<RwLock<Option<P>>>,
     clock: CachePadded<AtomicU64>,
     obs: MemObs,
+}
+
+/// The registers of one kind, in the layout their arena was built with.
+#[derive(Debug)]
+enum Slots<T> {
+    /// One register per [`CachePadded`] line, for arenas several threads
+    /// write.
+    Padded(Vec<CachePadded<T>>),
+    /// Registers back to back, for an arena one thread owns.
+    Packed(Vec<T>),
+}
+
+impl<T> Slots<T> {
+    fn new(padded: bool) -> Self {
+        if padded {
+            Slots::Padded(Vec::new())
+        } else {
+            Slots::Packed(Vec::new())
+        }
+    }
+
+    /// Append a register holding `value`; returns its index.
+    fn push(&mut self, value: T) -> usize {
+        match self {
+            Slots::Padded(v) => v.push(CachePadded::new(value)),
+            Slots::Packed(v) => v.push(value),
+        }
+        self.len() - 1
+    }
+
+    /// Registers allocated.
+    fn len(&self) -> usize {
+        match self {
+            Slots::Padded(v) => v.len(),
+            Slots::Packed(v) => v.len(),
+        }
+    }
+}
+
+impl<T> Index<usize> for Slots<T> {
+    type Output = T;
+
+    #[inline]
+    fn index(&self, i: usize) -> &T {
+        match self {
+            Slots::Padded(v) => &v[i],
+            Slots::Packed(v) => &v[i],
+        }
+    }
 }
 
 /// The native backend's instruments (DESIGN.md §11). Detached — and
@@ -112,17 +171,38 @@ impl MemObs {
     }
 }
 
+impl<P> Default for NativeMem<P> {
+    /// The shared layout, as [`NativeMem::new`].
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl<P> NativeMem<P> {
-    /// An empty backend.
+    /// An empty backend for several threads at once: each register is
+    /// [`CachePadded`], so threads writing neighbouring registers never
+    /// falsely share a cache line.
     pub fn new() -> Self {
+        Self::with_layout(true)
+    }
+
+    /// An empty backend for one thread: registers are packed back to back,
+    /// with no padding. Other threads may still use it — every operation is
+    /// the same `SeqCst` atomic as in [`NativeMem::new`] — but registers
+    /// that different threads write may then share a cache line.
+    pub fn single_owner() -> Self {
+        Self::with_layout(false)
+    }
+
+    fn with_layout(padded: bool) -> Self {
         Self {
-            safes: Vec::new(),
-            atomics: Vec::new(),
-            sticky_lanes: Vec::new(),
+            safes: Slots::new(padded),
+            atomics: Slots::new(padded),
+            sticky_lanes: Slots::new(padded),
             sticky_map: Vec::new(),
-            sticky_words: Vec::new(),
-            tas_bits: Vec::new(),
-            data: Vec::new(),
+            sticky_words: Slots::new(padded),
+            tas_bits: Slots::new(padded),
+            data: Slots::new(padded),
             clock: CachePadded::new(AtomicU64::new(0)),
             obs: MemObs::default(),
         }
@@ -192,20 +272,18 @@ impl AllocationCensus {
 
 impl<P: Send + Sync> WordMem for NativeMem<P> {
     fn alloc_safe(&mut self, init: Word) -> SafeId {
-        self.safes.push(CachePadded::new(AtomicU64::new(init)));
-        SafeId(self.safes.len() - 1)
+        SafeId(self.safes.push(AtomicU64::new(init)))
     }
 
     fn alloc_atomic(&mut self, init: Word) -> AtomicId {
-        self.atomics.push(CachePadded::new(AtomicU64::new(init)));
-        AtomicId(self.atomics.len() - 1)
+        AtomicId(self.atomics.push(AtomicU64::new(init)))
     }
 
     fn alloc_sticky_bit(&mut self) -> StickyBitId {
-        // A solo bit gets a word (= cache line) of its own: unrelated
-        // sticky bits must never contend on one CAS word.
-        self.sticky_lanes.push(CachePadded::default());
-        self.push_lane(self.sticky_lanes.len() - 1, 0)
+        // A solo bit gets a word of its own: unrelated sticky bits must
+        // never contend on one CAS word.
+        let word = self.sticky_lanes.push(AtomicU64::default());
+        self.push_lane(word, 0)
     }
 
     fn alloc_sticky_bits(&mut self, count: usize) -> Vec<StickyBitId> {
@@ -213,8 +291,7 @@ impl<P: Send + Sync> WordMem for NativeMem<P> {
         // group snapshots with a single load (`sticky_read_word`).
         let mut ids = Vec::with_capacity(count);
         for chunk in 0..count.div_ceil(LANES_PER_WORD) {
-            self.sticky_lanes.push(CachePadded::default());
-            let word = self.sticky_lanes.len() - 1;
+            let word = self.sticky_lanes.push(AtomicU64::default());
             let lanes = (count - chunk * LANES_PER_WORD).min(LANES_PER_WORD);
             for lane in 0..lanes {
                 ids.push(self.push_lane(word, lane));
@@ -224,14 +301,11 @@ impl<P: Send + Sync> WordMem for NativeMem<P> {
     }
 
     fn alloc_sticky_word(&mut self) -> StickyWordId {
-        self.sticky_words
-            .push(CachePadded::new(AtomicU64::new(STICKY_WORD_UNDEF)));
-        StickyWordId(self.sticky_words.len() - 1)
+        StickyWordId(self.sticky_words.push(AtomicU64::new(STICKY_WORD_UNDEF)))
     }
 
     fn alloc_tas(&mut self) -> TasId {
-        self.tas_bits.push(CachePadded::default());
-        TasId(self.tas_bits.len() - 1)
+        TasId(self.tas_bits.push(AtomicBool::default()))
     }
 
     #[inline]
@@ -385,8 +459,7 @@ impl<P: Send + Sync> WordMem for NativeMem<P> {
 
 impl<P: Clone + Send + Sync> DataMem<P> for NativeMem<P> {
     fn alloc_data(&mut self, init: Option<P>) -> DataId {
-        self.data.push(CachePadded::new(RwLock::new(init)));
-        DataId(self.data.len() - 1)
+        DataId(self.data.push(RwLock::new(init)))
     }
 
     #[inline]
@@ -555,26 +628,79 @@ mod tests {
 
     #[test]
     fn census_counts_every_kind() {
-        let mut mem: NativeMem<u32> = NativeMem::new();
-        mem.alloc_safe(0);
-        mem.alloc_safe(0);
-        mem.alloc_atomic(0);
-        mem.alloc_sticky_bit();
-        mem.alloc_sticky_word();
-        mem.alloc_tas();
-        mem.alloc_data(None);
-        let census = mem.allocation_census();
-        assert_eq!(census.safe_words, 2);
-        assert_eq!(census.atomic_words, 1);
-        assert_eq!(census.sticky_bits, 1);
-        assert_eq!(census.sticky_words, 1);
-        assert_eq!(census.tas_bits, 1);
-        assert_eq!(census.data_cells, 1);
-        assert_eq!(census.sticky_bit_equivalent(16), 17);
-        // Grouped allocation counts every bit.
-        let mut mem: NativeMem<u32> = NativeMem::new();
-        mem.alloc_sticky_bits(20);
-        assert_eq!(mem.allocation_census().sticky_bits, 20);
+        // The census counts registers, never padding, in either layout.
+        for layout in [NativeMem::<u32>::new, NativeMem::single_owner] {
+            let mut mem = layout();
+            mem.alloc_safe(0);
+            mem.alloc_safe(0);
+            mem.alloc_atomic(0);
+            mem.alloc_sticky_bit();
+            mem.alloc_sticky_word();
+            mem.alloc_tas();
+            mem.alloc_data(None);
+            let census = mem.allocation_census();
+            assert_eq!(census.safe_words, 2);
+            assert_eq!(census.atomic_words, 1);
+            assert_eq!(census.sticky_bits, 1);
+            assert_eq!(census.sticky_words, 1);
+            assert_eq!(census.tas_bits, 1);
+            assert_eq!(census.data_cells, 1);
+            assert_eq!(census.sticky_bit_equivalent(16), 17);
+            // Grouped allocation counts every bit.
+            let mut mem = layout();
+            mem.alloc_sticky_bits(20);
+            assert_eq!(mem.allocation_census().sticky_bits, 20);
+        }
+    }
+
+    /// Byte distance between registers `a` and `b` of one kind.
+    fn gap<T>(slots: &Slots<T>, a: usize, b: usize) -> usize {
+        let addr = |i: usize| &slots[i] as *const T as usize;
+        addr(a).abs_diff(addr(b))
+    }
+
+    /// Allocate two registers of each kind back to back; for each kind,
+    /// the bytes between the pair's addresses and the size of one register.
+    fn back_to_back_gaps(mem: &mut NativeMem<u32>) -> [(&'static str, usize, usize); 6] {
+        use std::mem::size_of;
+        let word = size_of::<AtomicU64>();
+        let (a, b) = (mem.alloc_safe(0), mem.alloc_safe(0));
+        let safe = gap(&mem.safes, a.0, b.0);
+        let (a, b) = (mem.alloc_atomic(0), mem.alloc_atomic(0));
+        let atomic = gap(&mem.atomics, a.0, b.0);
+        let (a, b) = (mem.alloc_sticky_bit(), mem.alloc_sticky_bit());
+        let (a, b) = (mem.sticky_map[a.0].word, mem.sticky_map[b.0].word);
+        let sticky_bit = gap(&mem.sticky_lanes, a as usize, b as usize);
+        let (a, b) = (mem.alloc_sticky_word(), mem.alloc_sticky_word());
+        let sticky_word = gap(&mem.sticky_words, a.0, b.0);
+        let (a, b) = (mem.alloc_tas(), mem.alloc_tas());
+        let tas = gap(&mem.tas_bits, a.0, b.0);
+        let (a, b) = (mem.alloc_data(None), mem.alloc_data(None));
+        let data = gap(&mem.data, a.0, b.0);
+        [
+            ("safe", safe, word),
+            ("atomic", atomic, word),
+            ("solo sticky bit", sticky_bit, word),
+            ("sticky word", sticky_word, word),
+            ("tas bit", tas, size_of::<AtomicBool>()),
+            ("data slot", data, size_of::<RwLock<Option<u32>>>()),
+        ]
+    }
+
+    #[test]
+    fn shared_arenas_pad_registers_and_single_owner_arenas_pack_them() {
+        // `default()` is checked on its own: a `Default` that bypassed
+        // `new()` could silently pick the packed layout.
+        let shared = [("new", NativeMem::new()), ("default", NativeMem::default())];
+        for (name, mut mem) in shared {
+            for (kind, bytes, _) in back_to_back_gaps(&mut mem) {
+                assert!(bytes >= 128, "{name}: {kind}s {bytes} B apart");
+            }
+        }
+        let mut mem = NativeMem::single_owner();
+        for (kind, bytes, size) in back_to_back_gaps(&mut mem) {
+            assert_eq!(bytes, size, "single_owner: {kind}s not adjacent");
+        }
     }
 
     #[test]

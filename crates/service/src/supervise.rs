@@ -126,10 +126,11 @@ where
     S::Resp: Send + Sync,
 {
     /// An empty durable shard (honest persistence: every in-flight write
-    /// survives a crash — the conservative-hardware model).
+    /// survives a crash — the conservative-hardware model), over a packed
+    /// [`NativeMem::single_owner`] arena like [`Shard::new`]'s.
     pub fn new(id: usize, template: S) -> Self {
         Self {
-            inner: Shard::with_mem(id, template, DurableMem::new(NativeMem::new())),
+            inner: Shard::with_mem(id, template, DurableMem::new(NativeMem::single_owner())),
         }
     }
 

@@ -107,6 +107,9 @@ fi
 step "service unit tests (dark config; the obs config ran in the obs-enabled block above)"
 cargo test --quiet --offline -p sbu-service
 
+step "per-key footprint guard (release: a materialized key must add at most 16 KiB of RSS)"
+cargo test --release --offline -p sbu-service --test footprint
+
 step "repo benchmark self-tests (plain and traced; a public-API change that breaks benchmark/ fails here)"
 cargo test --quiet --offline --manifest-path benchmark/Cargo.toml
 cargo test --quiet --offline --manifest-path benchmark/Cargo.toml --features trace
