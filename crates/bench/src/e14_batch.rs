@@ -88,7 +88,7 @@ fn batched_throughput(threads: usize, ops: usize, cap: usize, registry: &sbu_obs
     batched_throughput_with(threads, ops, cap, config, registry)
 }
 
-/// [`batched_throughput`] with an explicit [`UniversalConfig`] (which must
+/// `batched_throughput` with an explicit [`UniversalConfig`] (which must
 /// have `group_commit` on and a batch cap of `cap`) — the seam E10's
 /// batched backoff sweep drives to re-tune the jam backoff cap under
 /// group commit.

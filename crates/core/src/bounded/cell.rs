@@ -36,14 +36,6 @@ pub struct UniversalConfig {
     /// [`sbu_mem::Backoff::DEFAULT_LIMIT`]; E10 sweeps this to tune the
     /// 4–8 thread `native_jam` contention cliff.
     pub backoff_limit: u32,
-    /// Drive the effective backoff cap adaptively from *observed*
-    /// contention instead of starting every retry loop at the full
-    /// `backoff_limit`: each processor keeps a private cap that grows by
-    /// one (up to `backoff_limit`) every time a retry loop actually has to
-    /// pause, and decays by one at the start of each `apply`. Uncontended
-    /// instances therefore pause for a single round; only sustained
-    /// contention earns long pauses. Off by default.
-    pub adaptive_backoff: bool,
     /// Group-commit batch apply (flat-combining at the state-cell level):
     /// one appended cell carries a *batch* of commands — the appender's own
     /// block plus any blocks it packed from the announce array — paying one
@@ -76,7 +68,6 @@ impl UniversalConfig {
             cells: 4 * n * n + 8 * n + 4,
             fast_paths: true,
             backoff_limit: sbu_mem::Backoff::DEFAULT_LIMIT,
-            adaptive_backoff: false,
             group_commit: false,
             batch_cap: Self::DEFAULT_BATCH_CAP,
             return_spin: Self::DEFAULT_RETURN_SPIN,
@@ -99,12 +90,6 @@ impl UniversalConfig {
             cells,
             ..Self::for_procs(0)
         }
-    }
-
-    /// Enable the locality fast paths.
-    pub fn with_fast_paths(mut self) -> Self {
-        self.fast_paths = true;
-        self
     }
 
     /// Disable every fast path: run the paper's full scans verbatim (the
@@ -143,13 +128,6 @@ impl UniversalConfig {
     /// [`UniversalConfig::backoff_limit`]).
     pub fn with_backoff_limit(mut self, limit: u32) -> Self {
         self.backoff_limit = limit;
-        self
-    }
-
-    /// Let observed contention drive the backoff cap (see
-    /// [`UniversalConfig::adaptive_backoff`]).
-    pub fn adaptive_backoff(mut self) -> Self {
-        self.adaptive_backoff = true;
         self
     }
 }

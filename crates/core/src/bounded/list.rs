@@ -56,7 +56,7 @@ impl<S> Inner<S> {
             }
             self.obs.frontier_fallback.incr(pid.0);
         }
-        let mut backoff = self.new_backoff(local);
+        let mut backoff = self.new_backoff();
         loop {
             if mem
                 .sticky_word_read(pid, self.cells[my_cell].next)
@@ -79,7 +79,6 @@ impl<S> Inner<S> {
             // A whole sweep raced past us: let the appenders drain before
             // rescanning (local spinning only — no shared step is skipped).
             let rounds = backoff.spin();
-            self.note_contention(local);
             self.obs.backoff_spins.add(pid.0, u64::from(rounds));
         }
     }

@@ -91,10 +91,6 @@ pub(crate) struct ProcLocal {
     /// the owner's INIT quiescence observation implies every foreign jam
     /// into the cell is already durable — see DESIGN.md §9.4.
     dirty: Vec<usize>,
-    /// Adaptive backoff cap exponent (grows on observed contention, decays
-    /// per operation; only consulted under
-    /// [`UniversalConfig::adaptive_backoff`]).
-    backoff_cap: u32,
     /// Last ticket this processor issued in group-commit mode (`(pid, seq)`
     /// is a command's logical identity; the fold dedups on it). Resynced
     /// from the list by [`Universal::recover`], since reusing a ticket
@@ -106,7 +102,6 @@ pub(crate) struct Inner<S> {
     pub(crate) n: usize,
     pub(crate) use_fast_paths: bool,
     pub(crate) backoff_limit: u32,
-    pub(crate) adaptive_backoff: bool,
     /// Group-commit batch apply enabled (see
     /// [`UniversalConfig::group_commit`]; the machinery lives in
     /// `group.rs`).
@@ -115,9 +110,6 @@ pub(crate) struct Inner<S> {
     pub(crate) batch_cap: usize,
     /// Member wait budget (response-flag re-reads) in group-commit mode.
     pub(crate) return_spin: u32,
-    /// Shard id for multi-instance deployments (`sbu-service`): carried for
-    /// labeling (Debug output, reports); `None` for standalone objects.
-    pub(crate) shard: Option<usize>,
     pub(crate) cells: Vec<CellHandles>,
     /// Flat `cells.len() × n` slab of grab bits: `r_bits[c*n + j]` is cell
     /// `c`'s `r_j`. One allocation for the whole pool (see `CellHandles`).
@@ -191,7 +183,6 @@ impl<S: SequentialSpec> std::fmt::Debug for Universal<S> {
             .field("n_procs", &self.inner.n)
             .field("pool", &self.inner.cells.len())
             .field("fast_paths", &self.inner.use_fast_paths)
-            .field("shard", &self.inner.shard)
             .finish_non_exhaustive()
     }
 }
@@ -218,7 +209,6 @@ where
             n,
             config: UniversalConfig::for_procs(n),
             obs: CoreObs::default(),
-            shard: None,
             _spec: std::marker::PhantomData,
         }
     }
@@ -226,12 +216,6 @@ where
     /// Number of processors.
     pub fn n_procs(&self) -> usize {
         self.inner.n
-    }
-
-    /// The shard id this instance was built with (`None` for standalone
-    /// objects; `sbu-service` sets it per shard for labeling).
-    pub fn shard_id(&self) -> Option<usize> {
-        self.inner.shard
     }
 
     /// Size of the cell pool.
@@ -277,12 +261,6 @@ where
         assert!(pid.0 < self.inner.n, "pid out of range");
         let mut local = self.inner.locals[pid.0].lock();
         let inner = &*self.inner;
-
-        // Adaptive backoff decays one step per operation: a cap earned
-        // during a burst drains away once the burst is over.
-        if inner.adaptive_backoff {
-            local.backoff_cap = local.backoff_cap.saturating_sub(1);
-        }
 
         if inner.group_commit {
             let resps = inner.apply_group(mem, pid, &mut local, std::slice::from_ref(op));
@@ -338,9 +316,6 @@ where
         }
         let mut local = self.inner.locals[pid.0].lock();
         let inner = &*self.inner;
-        if inner.adaptive_backoff {
-            local.backoff_cap = local.backoff_cap.saturating_sub(1);
-        }
         let mut resps = Vec::with_capacity(ops.len());
         for chunk in ops.chunks(inner.batch_cap) {
             resps.extend(inner.apply_group(mem, pid, &mut local, chunk));
@@ -436,7 +411,6 @@ pub struct UniversalBuilder<S> {
     n: usize,
     config: UniversalConfig,
     obs: CoreObs,
-    shard: Option<usize>,
     _spec: std::marker::PhantomData<fn() -> S>,
 }
 
@@ -457,16 +431,6 @@ where
     /// [`CoreObs`]). Without this call the object records nothing.
     pub fn obs(mut self, registry: &sbu_obs::Registry) -> Self {
         self.obs = CoreObs::register(registry);
-        self
-    }
-
-    /// Label the instance with a shard id (`sbu-service` builds one
-    /// `Universal` per shard/key and labels each with the shard that owns
-    /// it; standalone objects leave this unset). Purely advisory: shows up
-    /// in `Debug` output and [`Universal::shard_id`], never in the
-    /// protocol.
-    pub fn shard(mut self, shard: usize) -> Self {
-        self.shard = Some(shard);
         self
     }
 
@@ -493,11 +457,9 @@ where
             n,
             use_fast_paths: config.fast_paths,
             backoff_limit: config.backoff_limit,
-            adaptive_backoff: config.adaptive_backoff,
             group_commit: config.group_commit,
             batch_cap: config.batch_cap,
             return_spin: config.return_spin,
-            shard: self.shard,
             cells,
             r_bits,
             b_bits,
@@ -606,24 +568,9 @@ impl<S> Inner<S> {
         self.b_bits[c * self.n + d]
     }
 
-    /// A fresh backoff for a retry loop, capped by the configured limit —
-    /// or, under adaptive backoff, by the processor's earned cap.
-    pub(crate) fn new_backoff(&self, local: &ProcLocal) -> Backoff {
-        let limit = if self.adaptive_backoff {
-            local.backoff_cap.min(self.backoff_limit)
-        } else {
-            self.backoff_limit
-        };
-        Backoff::with_limit(limit)
-    }
-
-    /// Record that a retry loop actually had to pause: under adaptive
-    /// backoff the processor earns a one-step-longer cap (up to the
-    /// configured limit) for its next loops.
-    pub(crate) fn note_contention(&self, local: &mut ProcLocal) {
-        if self.adaptive_backoff && local.backoff_cap < self.backoff_limit {
-            local.backoff_cap += 1;
-        }
+    /// A fresh backoff for a retry loop, capped by the configured limit.
+    pub(crate) fn new_backoff(&self) -> Backoff {
+        Backoff::with_limit(self.backoff_limit)
     }
 
     /// Follow a cell's `Next` pointer (must be defined — cells we walk are

@@ -2,7 +2,7 @@
 //!
 //! The bounded construction fixes its agreement primitive (sticky fields).
 //! This variant is parameterized over **any**
-//! [`Consensus`](sbu_sticky::consensus::Consensus) object: each list cell
+//! [`Consensus`] object: each list cell
 //! carries one consensus instance deciding its unique successor. Plugging
 //! in different consensus implementations discharges the paper's
 //! corollaries by construction:

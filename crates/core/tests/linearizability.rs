@@ -245,7 +245,7 @@ fn bounded_with_head_hints_linearizable() {
         let n = 3;
         let mut mem: SimMem<CellPayload<CounterSpec>> = SimMem::new(n);
         let obj = Universal::builder(n)
-            .config(UniversalConfig::for_procs(n).with_fast_paths())
+            .config(UniversalConfig::for_procs(n))
             .build(&mut mem, CounterSpec::new());
         let pool = obj.pool_size() as u64;
         let rec: Arc<HistoryRecorder<CounterOp, u64>> = Arc::new(HistoryRecorder::new());

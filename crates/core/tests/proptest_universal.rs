@@ -65,7 +65,7 @@ proptest! {
     ) {
         let n = 2;
         let mut mem: SimMem<CellPayload<StackSpec>> = SimMem::new(n);
-        let obj = Universal::builder(n).config(UniversalConfig::for_procs(n).with_fast_paths()).build(&mut mem, StackSpec::new());
+        let obj = Universal::builder(n).config(UniversalConfig::for_procs(n)).build(&mut mem, StackSpec::new());
         let rec: Arc<HistoryRecorder<StackOp, StackResp>> = Arc::new(HistoryRecorder::new());
         let rec2 = Arc::clone(&rec);
         let obj2 = obj.clone();

@@ -124,7 +124,7 @@ impl Json {
     }
 
     /// Parse a JSON document (the subset this module writes: no `\uXXXX`
-    /// escapes beyond what [`parse_string`] handles, numbers as `f64`).
+    /// escapes beyond what the string parser handles, numbers as `f64`).
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
         let mut pos = 0;

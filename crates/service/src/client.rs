@@ -109,11 +109,6 @@ impl<S: WireCodec> ServiceClient<S> {
         }
     }
 
-    /// This client's id (its wire identity and dedup key).
-    pub fn id(&self) -> u32 {
-        self.id
-    }
-
     /// The retry policy this client runs under.
     pub fn retry(&self) -> RetryPolicy {
         self.retry

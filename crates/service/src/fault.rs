@@ -1,6 +1,6 @@
 //! Seeded, deterministic transport-fault injection at the transport seam.
 //!
-//! [`Faulty`] is a *wrapper transport*: it sits between the client/server
+//! `Faulty` is a *wrapper transport*: it sits between the client/server
 //! handles and any inner [`Transport`] (in-process mailboxes or a real
 //! socket) and, frame by frame, decides whether the frame is delivered
 //! intact, **dropped**, **duplicated**, **corrupted** (a byte flipped in
@@ -26,7 +26,7 @@
 //! channel's own obs lane (writes are serialized by the channel's lock, so
 //! the single-writer lane discipline holds).
 
-use crate::transport::{ClientConn, ConnEvent, Delivery, RecvOutcome, Transport};
+use crate::transport::{ClientConn, ConnEvent, Delivery, Transport};
 use crate::wire::{checksum, KIND_RESPONSE};
 use parking_lot::Mutex;
 use rand::rngs::SmallRng;
@@ -49,10 +49,11 @@ pub struct FaultProfile {
     pub corrupt: f64,
     /// Probability a frame is held back until the next frame overtakes it.
     pub delay: f64,
-    /// Probability the connection dies mid-frame: a truncated prefix is
-    /// delivered and the stream is torn down, so a socket client must
-    /// reconnect and retransmit (safe under the `(client, seq)` dedup
-    /// window). On the in-process transport the prefix is simply lost.
+    /// Probability the connection dies mid-frame (the socket torture
+    /// fault): a truncated prefix is delivered and the stream is torn
+    /// down, so a socket client must reconnect and retransmit (safe under
+    /// the `(client, seq)` dedup window). On the in-process transport the
+    /// prefix is simply lost.
     pub disconnect: f64,
     /// Probability a *response* payload is rewritten with the checksum
     /// recomputed — undetectable on the wire, a true semantic lie. Keep at
@@ -93,13 +94,6 @@ impl FaultProfile {
         let mut p = Self::lossy();
         p.lie = rate;
         p
-    }
-
-    /// This profile with the disconnect fault at `rate` — the socket
-    /// torture knob (mid-frame truncation + forced reconnect).
-    pub const fn with_disconnect(mut self, rate: f64) -> Self {
-        self.disconnect = rate;
-        self
     }
 
     /// Whether every rate is zero (no injector needed).
@@ -292,8 +286,9 @@ impl FaultyChannel {
 /// `workers + c`), so a fixed `(seed, traffic)` pair replays the same
 /// fault pattern it always did.
 ///
-/// The durable-recovery requeue path bypasses injection: those bytes never
-/// left the worker, so there is no wire for them to be damaged on.
+/// The durable-recovery requeue goes straight into the service's inboxes,
+/// past every carrier: those bytes never left the worker, so there is no
+/// wire for them to be damaged on.
 pub(crate) struct Faulty {
     inner: Arc<dyn Transport>,
     /// Request lanes, one per worker (obs lane `w`).
@@ -326,10 +321,6 @@ impl Faulty {
 }
 
 impl Transport for Faulty {
-    fn recv_requests(&self, worker: usize) -> RecvOutcome {
-        self.inner.recv_requests(worker)
-    }
-
     fn send_reply(&self, client: u32, delivery: Delivery) {
         match (delivery, self.resp.get(client as usize)) {
             (Delivery::Intact(bytes), Some(lane)) => {
@@ -341,10 +332,6 @@ impl Transport for Faulty {
             // through.
             (delivery, _) => self.inner.send_reply(client, delivery),
         }
-    }
-
-    fn requeue_front(&self, worker: usize, bytes: Vec<u8>) {
-        self.inner.requeue_front(worker, bytes);
     }
 
     fn connect(self: Arc<Self>, client: u32) -> Box<dyn ClientConn> {
@@ -581,7 +568,10 @@ mod tests {
     #[test]
     fn disconnect_truncates_the_frame_and_reports_the_cut() {
         let (reg, obs) = obs();
-        let profile = FaultProfile::none().with_disconnect(1.0);
+        let profile = FaultProfile {
+            disconnect: 1.0,
+            ..FaultProfile::none()
+        };
         let mut chan = FaultyChannel::new(profile, 4, 0);
         let frame = a_frame(1);
         match chan.admit(frame.clone(), &obs) {

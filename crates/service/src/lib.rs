@@ -8,22 +8,24 @@
 //!
 //! ```text
 //!   client ──encode──▶ Transport (in-process │ unix │ tcp, ± faults)
-//!     ──▶ one frame per inbox blob ──▶ dedup window ──▶ Shard (single owner)
+//!     ──▶ per-worker inboxes (one frame per blob) ──▶ dedup window
+//!       ──▶ Shard (single owner)
 //!       ──▶ Universal::apply at the object for key
 //!         ──encode──▶ Transport ──▶ client handle
 //! ```
 //!
-//! * [`ShardMap`] — the pure routing function (`key → shard`), hash or
-//!   range policy ([`Routing`]).
+//! * [`ShardMap`] — the pure routing function (`key → shard`): the key
+//!   hashed through splitmix64, masked to a power-of-two shard count.
 //! * [`Frame`]/[`FrameDecoder`]/[`WireCodec`] — the length-prefixed wire
 //!   protocol. The decoder is incremental for socket streams; every queued
 //!   blob is one whole frame, decoded once.
 //! * [`Transport`] — the pluggable byte plane ([`TransportConfig`]):
 //!   in-process mailboxes by default, or a real blocking TCP /
-//!   Unix-domain-socket listener (one acceptor thread feeding per-worker
-//!   inboxes, one re-encoded frame per blob) selected with
-//!   `Service::builder(..).transport(..)`. The seeded fault injector is a
-//!   wrapper over any of them.
+//!   Unix-domain-socket listener (one acceptor thread, one reader per
+//!   connection, one re-encoded frame per blob) selected with
+//!   `Service::builder(..).transport(..)`. Every carrier pushes requests
+//!   into the same per-worker inboxes, which the service owns. The seeded
+//!   fault injector is a wrapper over any of them.
 //! * [`Shard`] — a single-owner slice of the key space, lazily
 //!   materializing one tiny (`n = 1`) [`sbu_core::Universal`] per touched
 //!   key. Cheap bulk instance construction is what makes "one universal
@@ -90,12 +92,12 @@ pub use client::{Pending, ServiceClient};
 pub use fault::{Admission, FaultProfile, FaultyChannel, InjectObs};
 pub use loadgen::{LoadgenConfig, LoadgenReport, LoopMode, Skew};
 pub use retry::{RetryPolicy, ServiceError};
-pub use route::{Routing, ShardMap};
+pub use route::ShardMap;
 pub use server::{Service, ServiceBuilder, ShardStats};
-pub use shard::Shard;
+pub use shard::{DurableShard, Shard};
 pub use socket::SocketConn;
-pub use supervise::{DurableShard, KillPlan, Recovery};
-pub use transport::{ClientConn, ConnEvent, Delivery, RecvOutcome, Transport, TransportConfig};
+pub use supervise::{KillPlan, Recovery};
+pub use transport::{ClientConn, ConnEvent, Delivery, Transport, TransportConfig};
 pub use wire::{
     control_frame, request_frame, response_frame, Frame, FrameDecoder, WireCodec, WireError,
     KIND_BUSY, KIND_REQUEST, KIND_RESPONSE, KIND_UNAVAILABLE, MAX_FRAME_LEN,
@@ -116,7 +118,7 @@ pub mod prelude {
     pub use crate::fault::FaultProfile;
     pub use crate::loadgen::{LoadgenConfig, LoadgenReport, LoopMode, Skew};
     pub use crate::retry::{RetryPolicy, ServiceError};
-    pub use crate::route::{Routing, ShardMap};
+    pub use crate::route::ShardMap;
     pub use crate::server::{Service, ServiceBuilder, ShardStats};
     pub use crate::supervise::{KillPlan, Recovery};
     pub use crate::transport::TransportConfig;

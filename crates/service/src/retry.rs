@@ -10,16 +10,19 @@
 //! When a retransmission fires is decided per client by `Rto`, the
 //! RFC 6298 timer: a smoothed round trip and its variation, fed only by
 //! replies to requests sent exactly once (Karn's rule), floored by
-//! [`RetryPolicy::attempt_timeout`], doubled on every expiry and capped by
-//! [`RetryPolicy::max_attempt_timeout`]. Each timeout carries deterministic
-//! ±25% jitter derived by hashing `(seed, client, seq, attempt)` —
-//! stateless, so no RNG handle has to thread through the client path and
-//! identical runs jitter identically. The client's other loss signal, a
-//! reply that overtook an older request to the same worker, lives in
-//! [`Pending::wait`](crate::Pending::wait).
+//! [`RetryPolicy::attempt_timeout`], doubled on every expiry and capped at
+//! 160 ms (or at the floor, if that is higher). Each timeout carries
+//! deterministic ±25% jitter derived by hashing `(seed, client, seq,
+//! attempt)` — stateless, so no RNG handle has to thread through the
+//! client path and identical runs jitter identically. The client's other
+//! loss signal, a reply that overtook an older request to the same
+//! worker, lives in [`Pending::wait`](crate::Pending::wait).
 
-use crate::wire::WireError;
 use std::time::Duration;
+
+/// The retransmission timer's ceiling as it backs off; a floor above it
+/// wins.
+const MAX_ATTEMPT_TIMEOUT: Duration = Duration::from_millis(160);
 
 /// Client-side retry policy: the bounds of the retransmission timer and
 /// the hard per-request deadline.
@@ -33,12 +36,10 @@ pub struct RetryPolicy {
     /// With `Some(floor)`, each client runs an RFC 6298 timer: before its
     /// first round-trip sample the timeout is `floor`; after it, `SRTT +
     /// 4·RTTVAR`, never below `floor`. Every expiry doubles the timeout
-    /// (up to [`max_attempt_timeout`](Self::max_attempt_timeout)) until
-    /// the next valid sample, and each transmission's timer runs from its
-    /// own send instant.
+    /// (up to 160 ms, or `floor` if that is higher) until the next valid
+    /// sample, and each transmission's timer runs from its own send
+    /// instant.
     pub attempt_timeout: Option<Duration>,
-    /// Ceiling for the timer as it backs off (a floor above it wins).
-    pub max_attempt_timeout: Duration,
     /// Hard per-request deadline: when it expires the call returns a typed
     /// error instead of blocking forever.
     pub deadline: Duration,
@@ -52,7 +53,6 @@ impl RetryPolicy {
     pub const fn patient() -> Self {
         Self {
             attempt_timeout: None,
-            max_attempt_timeout: Duration::from_secs(30),
             deadline: Duration::from_secs(30),
         }
     }
@@ -65,7 +65,6 @@ impl RetryPolicy {
     pub const fn lossy() -> Self {
         Self {
             attempt_timeout: Some(Duration::from_micros(250)),
-            max_attempt_timeout: Duration::from_millis(160),
             deadline: Duration::from_secs(10),
         }
     }
@@ -78,8 +77,7 @@ impl RetryPolicy {
 
     /// This policy with a different timer floor (which is also the
     /// timer's value before the first round-trip sample). A floor above
-    /// [`max_attempt_timeout`](Self::max_attempt_timeout) pins the timer
-    /// at the floor.
+    /// the 160 ms backoff ceiling pins the timer at the floor.
     pub const fn with_attempt_timeout(mut self, timeout: Duration) -> Self {
         self.attempt_timeout = Some(timeout);
         self
@@ -96,7 +94,7 @@ impl Default for RetryPolicy {
 ///
 /// `SRTT` and `RTTVAR` follow §2 with α = 1/8 and β = 1/4 in integer
 /// nanoseconds; the timeout is `SRTT + 4·RTTVAR` clamped to
-/// `[attempt_timeout, max_attempt_timeout]`. The caller reports every
+/// `[attempt_timeout, MAX_ATTEMPT_TIMEOUT]`. The caller reports every
 /// reply to [`sample`](Self::sample), which keeps only those to requests
 /// transmitted once, and calls [`back_off`](Self::back_off) on every
 /// expiry; the doubled value stands until the next kept sample.
@@ -116,14 +114,20 @@ impl Rto {
     /// The timer `policy` asks for, or `None` when its attempts never time
     /// out.
     pub(crate) fn new(policy: &RetryPolicy) -> Option<Self> {
-        let floor = nanos(policy.attempt_timeout?);
-        Some(Self {
+        Some(Self::clamped(policy.attempt_timeout?, MAX_ATTEMPT_TIMEOUT))
+    }
+
+    /// A fresh timer starting at `floor`, backing off to `ceiling` (or to
+    /// `floor`, if that is higher).
+    fn clamped(floor: Duration, ceiling: Duration) -> Self {
+        let floor = nanos(floor);
+        Self {
             srtt: None,
             rttvar: 0,
             rto: floor,
             floor,
-            ceiling: nanos(policy.max_attempt_timeout).max(floor),
-        })
+            ceiling: nanos(ceiling).max(floor),
+        }
     }
 
     /// Fold the round trip of a reply to a request sent `transmissions`
@@ -186,13 +190,13 @@ fn jittered(duration: Duration, seed: u64, client: u32, seq: u64, attempt: u32) 
 
 /// Why a service request failed. All variants are *typed* outcomes the
 /// harness layers can tell apart: capacity shedding ([`Busy`]), a crashed
-/// volatile shard ([`Unavailable`]), a deadline with no verdict at all
-/// ([`Deadline`]), or undecodable bytes ([`Wire`]).
+/// volatile shard ([`Unavailable`]), or a deadline with no verdict at all
+/// ([`Deadline`]). A reply that does not decode is never an outcome: the
+/// client retransmits until a good reply or the deadline.
 ///
 /// [`Busy`]: ServiceError::Busy
 /// [`Unavailable`]: ServiceError::Unavailable
 /// [`Deadline`]: ServiceError::Deadline
-/// [`Wire`]: ServiceError::Wire
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServiceError {
     /// The per-request deadline expired with no reply.
@@ -226,17 +230,9 @@ pub enum ServiceError {
         /// Send attempts made.
         attempts: u32,
     },
-    /// The reply could not be decoded (and the retry budget is exhausted).
-    Wire(WireError),
 }
 
 impl ServiceError {
-    /// Whether retrying could plausibly succeed (everything except a
-    /// payload-decode failure is transient).
-    pub fn is_retryable(&self) -> bool {
-        !matches!(self, ServiceError::Wire(WireError::Payload(_)))
-    }
-
     /// Whether this is the capacity-shedding outcome.
     pub fn is_busy(&self) -> bool {
         matches!(self, ServiceError::Busy { .. })
@@ -275,18 +271,11 @@ impl std::fmt::Display for ServiceError {
                 f,
                 "unavailable: client {client} seq {seq} lost to a shard crash after {attempts} attempt(s)"
             ),
-            ServiceError::Wire(err) => write!(f, "undecodable reply: {err}"),
         }
     }
 }
 
 impl std::error::Error for ServiceError {}
-
-impl From<WireError> for ServiceError {
-    fn from(err: WireError) -> Self {
-        ServiceError::Wire(err)
-    }
-}
 
 /// The typed error for an expired deadline: classified by the last control
 /// frame heard (`Busy`/`Unavailable` beat a bare `Deadline`, because they
@@ -324,14 +313,7 @@ mod tests {
     const US: Duration = Duration::from_micros(1);
 
     fn timer(floor_us: u32, ceiling_us: u32) -> Rto {
-        let policy = RetryPolicy::lossy()
-            .with_attempt_timeout(US * floor_us)
-            .with_deadline(Duration::from_secs(1));
-        Rto::new(&RetryPolicy {
-            max_attempt_timeout: US * ceiling_us,
-            ..policy
-        })
-        .expect("a floor means a timer")
+        Rto::clamped(US * floor_us, US * ceiling_us)
     }
 
     /// The un-jittered timeout, in µs.
@@ -358,6 +340,7 @@ mod tests {
     fn the_floor_is_the_starting_value() {
         let t = Rto::new(&RetryPolicy::lossy()).unwrap();
         assert_eq!(t.rto, 250_000, "lossy() starts at its 250 µs floor");
+        assert_eq!(t.ceiling, 160_000_000, "and backs off to 160 ms");
         assert_eq!(t.srtt, None);
         assert_eq!(rto_us(&timer(10_000, 160_000)), 10_000);
     }
@@ -471,21 +454,20 @@ mod tests {
             seq: 2,
             attempts: 3,
         };
-        assert!(busy.is_busy() && busy.is_retryable() && !busy.is_unavailable());
+        assert!(busy.is_busy() && !busy.is_unavailable());
         let unavail = ServiceError::Unavailable {
             client: 0,
             seq: 9,
             attempts: 1,
         };
-        assert!(unavail.is_unavailable() && unavail.is_retryable());
-        let wire: ServiceError = WireError::payload("bad tag").into();
-        assert!(!wire.is_retryable());
-        let corrupt = ServiceError::Wire(WireError::Corrupt {
-            expected: 1,
-            found: 2,
-        });
-        assert!(corrupt.is_retryable(), "corruption is transient");
-        for e in [&busy, &unavail, &wire] {
+        assert!(unavail.is_unavailable() && !unavail.is_busy());
+        let deadline = ServiceError::Deadline {
+            client: 4,
+            seq: 5,
+            attempts: 6,
+        };
+        assert!(!deadline.is_busy() && !deadline.is_unavailable());
+        for e in [&busy, &unavail, &deadline] {
             assert!(!e.to_string().is_empty());
         }
         assert!(busy.to_string().contains("client 1 seq 2"));

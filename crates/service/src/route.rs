@@ -1,26 +1,10 @@
 //! The `ShardMap` router: a total, stable partition of the key space.
 //!
-//! Routing must be a *pure function* of `(key, shard count, policy)` — no
-//! hidden state, no randomness — so that every client, every worker, and
-//! every replayed benchmark agrees on which shard owns a key. The default
-//! policy hashes keys through a 64-bit finalizer before masking, so
-//! adjacent keys (the common case in generated workloads) spread across
-//! shards; the range policy is the seam for a later elastic split/merge,
-//! where contiguous key ranges must stay contiguous per shard.
-
-/// How a key is mapped to a shard.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Routing {
-    /// Mix the key through splitmix64 and mask with `shards - 1`.
-    /// Spreads any key distribution evenly; the default.
-    #[default]
-    Hash,
-    /// Partition the key space into `shards` contiguous ranges by the
-    /// key's top bits. Keeps ranges contiguous per shard — the seam a
-    /// future elastic split/merge (halving or doubling a shard's range)
-    /// builds on.
-    Range,
-}
+//! Routing must be a *pure function* of `(key, shard count)` — no hidden
+//! state, no randomness — so that every client, every worker, and every
+//! replayed benchmark agrees on which shard owns a key. Keys are hashed
+//! through a 64-bit finalizer before masking, so adjacent keys (the
+//! common case in generated workloads) spread across shards.
 
 /// splitmix64's output mixing step: a bijective 64-bit finalizer (so hash
 /// routing never collides two distinct keys onto the same mixed value).
@@ -35,19 +19,16 @@ fn mix64(mut z: u64) -> u64 {
 /// shards.
 ///
 /// ```
-/// use sbu_service::{Routing, ShardMap};
+/// use sbu_service::ShardMap;
 /// let map = ShardMap::new(8);
 /// let s = map.shard_of(42);
 /// assert!(s < 8);
 /// assert_eq!(s, map.shard_of(42)); // stable
 /// assert_eq!(ShardMap::new(1).shard_of(42), 0); // total
-/// let ranged = ShardMap::new(8).with_routing(Routing::Range);
-/// assert_eq!(ranged.shard_of(0), 0); // low keys → low shards
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardMap {
     shards: usize,
-    routing: Routing,
 }
 
 impl ShardMap {
@@ -55,24 +36,15 @@ impl ShardMap {
     ///
     /// # Panics
     ///
-    /// Panics unless `shards` is a power of two (the mask-based hash route
-    /// and the top-bits range route both require it; a non-power-of-two
-    /// count would silently bias the partition).
+    /// Panics unless `shards` is a power of two (the route masks the
+    /// hashed key; a non-power-of-two count would silently bias the
+    /// partition).
     pub fn new(shards: usize) -> Self {
         assert!(
             shards.is_power_of_two(),
             "shard count must be a power of two, got {shards}"
         );
-        Self {
-            shards,
-            routing: Routing::default(),
-        }
-    }
-
-    /// Choose the routing policy (default [`Routing::Hash`]).
-    pub fn with_routing(mut self, routing: Routing) -> Self {
-        self.routing = routing;
-        self
+        Self { shards }
     }
 
     /// Number of shards.
@@ -80,28 +52,12 @@ impl ShardMap {
         self.shards
     }
 
-    /// The routing policy in force.
-    pub fn routing(&self) -> Routing {
-        self.routing
-    }
-
-    /// The shard that owns `key`. Total (every key maps somewhere) and
-    /// stable (a pure function of the router's configuration).
+    /// The shard that owns `key`: the key mixed through splitmix64 and
+    /// masked with `shards - 1`. Total (every key maps somewhere) and
+    /// stable (a pure function of the shard count).
     #[inline]
     pub fn shard_of(&self, key: u64) -> usize {
-        let mask = (self.shards - 1) as u64;
-        match self.routing {
-            Routing::Hash => (mix64(key) & mask) as usize,
-            Routing::Range => {
-                // Top log2(shards) bits of the key; `shards == 1` has no
-                // bits to take (a 64-bit shift would be UB-adjacent).
-                if self.shards == 1 {
-                    0
-                } else {
-                    (key >> (64 - self.shards.trailing_zeros())) as usize
-                }
-            }
-        }
+        (mix64(key) & (self.shards - 1) as u64) as usize
     }
 }
 
@@ -112,14 +68,31 @@ mod tests {
     #[test]
     fn routing_is_total_and_stable() {
         for shards in [1, 2, 4, 8, 64] {
-            for routing in [Routing::Hash, Routing::Range] {
-                let map = ShardMap::new(shards).with_routing(routing);
-                for key in (0..1000).chain([u64::MAX, u64::MAX - 1, 1 << 63]) {
-                    let s = map.shard_of(key);
-                    assert!(s < shards, "{routing:?} key {key} → shard {s}/{shards}");
-                    assert_eq!(s, map.shard_of(key), "routing must be stable");
-                }
+            let map = ShardMap::new(shards);
+            for key in (0..1000).chain([u64::MAX, u64::MAX - 1, 1 << 63]) {
+                let s = map.shard_of(key);
+                assert!(s < shards, "key {key} → shard {s}/{shards}");
+                assert_eq!(s, map.shard_of(key), "routing must be stable");
             }
+        }
+    }
+
+    #[test]
+    fn hash_routing_matches_golden_placements() {
+        // Seeded artifacts and the per-shard splits of E12/E13 depend on
+        // where keys land, so the route itself is pinned, not only its
+        // totality and spread.
+        const KEYS: [u64; 9] = [0, 1, 2, 3, 42, 1000, 0xDEAD_BEEF, 1 << 63, u64::MAX];
+        let golden: [(usize, [usize; 9]); 4] = [
+            (1, [0, 0, 0, 0, 0, 0, 0, 0, 0]),
+            (4, [3, 1, 2, 1, 1, 0, 3, 3, 0]),
+            (8, [7, 1, 6, 5, 5, 0, 3, 3, 0]),
+            (64, [47, 1, 14, 45, 21, 8, 27, 27, 32]),
+        ];
+        for (shards, want) in golden {
+            let map = ShardMap::new(shards);
+            let got = KEYS.map(|key| map.shard_of(key));
+            assert_eq!(got, want, "placements at {shards} shards");
         }
     }
 
@@ -134,50 +107,6 @@ mod tests {
             assert!(
                 (700..=1300).contains(&c),
                 "shard {s} got {c} of 4000 sequential keys"
-            );
-        }
-    }
-
-    #[test]
-    fn range_routing_keeps_ranges_contiguous() {
-        let map = ShardMap::new(4).with_routing(Routing::Range);
-        assert_eq!(map.shard_of(0), 0);
-        assert_eq!(map.shard_of(u64::MAX), 3);
-        // Monotone: a larger key never routes to a smaller shard.
-        let mut last = 0;
-        for key in (0..64).map(|i| i << 58) {
-            let s = map.shard_of(key);
-            assert!(s >= last, "range routing must be monotone in the key");
-            last = s;
-        }
-    }
-
-    #[test]
-    fn range_routing_degenerate_edges() {
-        // One shard: no top bits to take — the shift-by-64 edge the code
-        // special-cases. Every key, including both extremes, maps to 0.
-        let one = ShardMap::new(1).with_routing(Routing::Range);
-        for key in [0, 1, u64::MAX - 1, u64::MAX, 1 << 63] {
-            assert_eq!(one.shard_of(key), 0);
-        }
-        // Two shards: the boundary sits exactly at the sign bit. The last
-        // key of the low half and the first key of the high half must land
-        // on different sides.
-        let two = ShardMap::new(2).with_routing(Routing::Range);
-        assert_eq!(two.shard_of((1 << 63) - 1), 0);
-        assert_eq!(two.shard_of(1 << 63), 1);
-        // A wide map: the extremes still hit the first and last shard, and
-        // each shard's half-open range boundary is exact.
-        let wide = ShardMap::new(1 << 16).with_routing(Routing::Range);
-        assert_eq!(wide.shard_of(0), 0);
-        assert_eq!(wide.shard_of(u64::MAX), (1 << 16) - 1);
-        let width = 1u64 << 48; // 2^64 / 2^16 keys per shard
-        for s in [0u64, 1, 255, (1 << 16) - 1] {
-            assert_eq!(wide.shard_of(s * width), s as usize, "first key");
-            assert_eq!(
-                wide.shard_of(s * width + (width - 1)),
-                s as usize,
-                "last key"
             );
         }
     }

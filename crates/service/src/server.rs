@@ -7,9 +7,10 @@
 //! [`Transport`](crate::transport::Transport): in-process mailboxes by
 //! default, a real TCP or Unix-domain socket with
 //! [`ServiceBuilder::transport`], and optionally the seeded fault injector
-//! wrapped around either ([`ServiceBuilder::fault`]). Every inbox blob is
-//! one encoded frame on every transport, so the worker loop decodes each
-//! blob once, whole, and drops one it cannot serve — corrupt, not a
+//! wrapped around either ([`ServiceBuilder::fault`]). Whatever the
+//! carrier, requests land in one set of per-worker inboxes the service
+//! owns. Every inbox blob is one encoded frame, so the worker loop decodes
+//! each blob once, whole, and drops one it cannot serve — corrupt, not a
 //! request, or an op the spec cannot decode — without answering.
 //!
 //! The fault-tolerant plane layers four mechanisms over that skeleton:
@@ -46,11 +47,11 @@
 use crate::client::ServiceClient;
 use crate::fault::{FaultProfile, Faulty, InjectObs};
 use crate::retry::RetryPolicy;
-use crate::route::{Routing, ShardMap};
-use crate::shard::Shard;
+use crate::route::ShardMap;
+use crate::shard::{DurableShard, Shard};
 use crate::socket::{Socket, SocketObs};
-use crate::supervise::{DurableShard, KillPlan, KillState, Recovery};
-use crate::transport::{Delivery, InProcess, RecvOutcome, Transport, TransportConfig};
+use crate::supervise::{KillPlan, KillState, Recovery};
+use crate::transport::{Delivery, InProcess, Inboxes, Transport, TransportConfig};
 use crate::wire::{
     control_frame, response_frame, Frame, WireCodec, KIND_REQUEST, KIND_UNAVAILABLE,
 };
@@ -109,8 +110,8 @@ impl ServiceObs {
 /// generator keeps at most 32 in flight).
 const DEDUP_WINDOW: usize = 64;
 
-/// Builder for a [`Service`]: topology, routing, transport, and the
-/// fault-tolerance knobs as typed setters. Mirrors the
+/// Builder for a [`Service`]: topology, transport, and the fault-tolerance
+/// knobs as typed setters. Mirrors the
 /// `Universal::builder` convention — start from
 /// [`Service::builder(shards)`](Service::builder), chain setters, finish
 /// with [`build`](Self::build).
@@ -118,7 +119,6 @@ pub struct ServiceBuilder<S: WireCodec> {
     shards: usize,
     workers: usize,
     clients: usize,
-    routing: Routing,
     transport: TransportConfig,
     fault: Option<FaultProfile>,
     kill: Option<KillPlan>,
@@ -146,12 +146,6 @@ where
     /// [`Service::client`].
     pub fn clients(mut self, clients: usize) -> Self {
         self.clients = clients;
-        self
-    }
-
-    /// How keys map to shards (default [`Routing::Hash`]).
-    pub fn routing(mut self, routing: Routing) -> Self {
-        self.routing = routing;
         self
     }
 
@@ -222,7 +216,7 @@ where
                  (e.g. RetryPolicy::lossy())"
             );
         }
-        let map = ShardMap::new(self.shards).with_routing(self.routing);
+        let map = ShardMap::new(self.shards);
         let transport_lane = self.workers + self.clients;
         let registry = sbu_obs::Registry::new(transport_lane + 1);
         let obs = Arc::new(ServiceObs::register(&registry));
@@ -238,18 +232,18 @@ where
         ));
         let inject = InjectObs::register(&registry);
 
+        // One set of worker inboxes, whichever carrier pushes into it.
+        let inboxes = Arc::new(Inboxes::new(self.workers, self.mailbox_capacity));
         let inner: Arc<dyn Transport> = match &self.transport {
-            TransportConfig::InProcess => Arc::new(InProcess::new(
-                self.workers,
-                self.clients,
-                self.mailbox_capacity,
-            )),
+            TransportConfig::InProcess => {
+                Arc::new(InProcess::new(Arc::clone(&inboxes), self.clients))
+            }
             TransportConfig::Tcp(addr) => Arc::new(
-                Socket::tcp(addr, map, self.workers, self.mailbox_capacity, socket_obs)
+                Socket::tcp(addr, map, Arc::clone(&inboxes), socket_obs)
                     .unwrap_or_else(|e| panic!("bind tcp listener on {addr}: {e}")),
             ),
             TransportConfig::Unix(path) => Arc::new(
-                Socket::unix(path, map, self.workers, self.mailbox_capacity, socket_obs)
+                Socket::unix(path, map, Arc::clone(&inboxes), socket_obs)
                     .unwrap_or_else(|e| panic!("bind unix listener on {}: {e}", path.display())),
             ),
         };
@@ -273,6 +267,7 @@ where
                     shard_ids: (w..self.shards).step_by(self.workers).collect(),
                     template: template.clone(),
                     map,
+                    inboxes: Arc::clone(&inboxes),
                     recovery: self.recovery,
                     kill: self.kill,
                     seed: self.seed,
@@ -303,6 +298,7 @@ where
         let endpoint = transport.endpoint();
         Service {
             map,
+            inboxes,
             transport,
             clients,
             registry,
@@ -331,6 +327,7 @@ where
 /// ```
 pub struct Service<S: WireCodec> {
     map: ShardMap,
+    inboxes: Arc<Inboxes>,
     transport: Arc<dyn Transport>,
     clients: Vec<ServiceClient<S>>,
     registry: sbu_obs::Registry,
@@ -346,6 +343,7 @@ struct WorkerCtx<S: WireCodec> {
     shard_ids: Vec<usize>,
     template: S,
     map: ShardMap,
+    inboxes: Arc<Inboxes>,
     recovery: Recovery,
     kill: Option<KillPlan>,
     seed: u64,
@@ -364,7 +362,6 @@ where
             shards,
             workers: 1,
             clients: 1,
-            routing: Routing::Hash,
             transport: TransportConfig::InProcess,
             fault: None,
             kill: None,
@@ -392,11 +389,6 @@ where
         &self.clients[id]
     }
 
-    /// How many client handles were built.
-    pub fn client_count(&self) -> usize {
-        self.clients.len()
-    }
-
     /// The endpoint string (`tcp://…` / `unix://…`) remote peers can dial,
     /// when the transport has one ([`TransportConfig::Tcp`] reports the
     /// actually-bound address, so `tcp://127.0.0.1:0` works).
@@ -412,11 +404,13 @@ where
         self.registry.snapshot()
     }
 
-    /// Stop the transport and the workers, join them, record
-    /// `service.shard_imbalance`, and return per-shard totals (sorted by
-    /// shard index). Idempotent; a second call returns an empty vec.
+    /// Stop the transport, then the inboxes; join the workers once they
+    /// have drained, record `service.shard_imbalance`, and return
+    /// per-shard totals (sorted by shard index). Idempotent; a second call
+    /// returns an empty vec.
     pub fn shutdown(&mut self) -> Vec<ShardStats> {
         self.transport.shutdown();
+        self.inboxes.stop();
         let mut stats: Vec<ShardStats> = self
             .workers
             .drain(..)
@@ -436,6 +430,7 @@ impl<S: WireCodec> Drop for Service<S> {
         // `shutdown` drains `workers`; this path only fires on an
         // abandoned service (e.g. a panicking test) — stop and detach.
         self.transport.shutdown();
+        self.inboxes.stop();
         for h in self.workers.drain(..) {
             let _ = h.join();
         }
@@ -463,7 +458,7 @@ where
             ),
             Recovery::Durable => WorkerShards::Durable(
                 ids.iter()
-                    .map(|&s| DurableShard::new(s, template.clone()))
+                    .map(|&s| Shard::durable(s, template.clone()))
                     .collect(),
             ),
         }
@@ -477,16 +472,17 @@ where
     }
 
     fn stats(&self) -> Vec<ShardStats> {
-        let one = |shard: usize, ops: u64, keys: usize| ShardStats { shard, ops, keys };
+        fn of<S: WireCodec, M>(shards: &[Shard<S, M>]) -> Vec<ShardStats> {
+            let one = |s: &Shard<S, M>| ShardStats {
+                shard: s.id(),
+                ops: s.ops(),
+                keys: s.keys(),
+            };
+            shards.iter().map(one).collect()
+        }
         match self {
-            WorkerShards::Volatile(shards) => shards
-                .iter()
-                .map(|s| one(s.id(), s.ops(), s.keys()))
-                .collect(),
-            WorkerShards::Durable(shards) => shards
-                .iter()
-                .map(|s| one(s.id(), s.ops(), s.keys()))
-                .collect(),
+            WorkerShards::Volatile(shards) => of(shards),
+            WorkerShards::Durable(shards) => of(shards),
         }
     }
 }
@@ -564,10 +560,9 @@ where
     state.shards.stats()
 }
 
-/// One worker: take one frame at a time off the transport, apply each
-/// request to the owning shard (or answer it from the dedup window), and
-/// mail the response back. Returns when the transport stops; unwinds on a
-/// seeded kill.
+/// One worker: take one frame at a time off its inbox, apply each request
+/// to the owning shard (or answer it from the dedup window), and mail the
+/// response back. Returns when the inboxes stop; unwinds on a seeded kill.
 fn worker_loop<S>(
     ctx: &WorkerCtx<S>,
     state: &mut WorkerState<S>,
@@ -580,13 +575,10 @@ fn worker_loop<S>(
 {
     let w = ctx.w;
     loop {
-        let bytes = match transport.recv_requests(w) {
-            RecvOutcome::Blob { bytes, depth } => {
-                obs.queue_depth.record(w, depth);
-                bytes
-            }
-            RecvOutcome::Stopped => return,
+        let Some((bytes, depth)) = ctx.inboxes.recv(w) else {
+            return;
         };
+        obs.queue_depth.record(w, depth);
         // A frame the worker cannot serve is dropped unanswered: a
         // corrupt one (the checksum caught it), or, from a socket peer, a
         // well-framed one that is not a request or whose op does not
@@ -633,7 +625,7 @@ fn handle_request<S>(
                         Delivery::Intact(control_frame(frame, KIND_UNAVAILABLE).to_bytes()),
                     );
                 }
-                Recovery::Durable => transport.requeue_front(w, frame.to_bytes()),
+                Recovery::Durable => ctx.inboxes.requeue_front(w, frame.to_bytes()),
             }
             std::panic::panic_any(SeededKill);
         }

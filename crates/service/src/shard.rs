@@ -11,21 +11,19 @@
 //! 181 word registers and 32 data cells. They live in the shard's
 //! [`NativeMem::single_owner`] arena, packed with no cache-line padding,
 //! since no other thread touches them. A key then costs ~6.2 KB of resident
-//! memory (~7.3 KB in a [`crate::DurableShard`]; `tests/footprint.rs`
+//! memory (~7.3 KB in a [`DurableShard`]; `tests/footprint.rs`
 //! guards both), against ~43 KB with a register per 128 bytes as a shared
-//! arena lays them out: 16 Ki keys take ~100 MB, and 1 M keys ~6 GB. Each
-//! instance is labeled with the shard id via the builder's `shard(..)`
-//! seam for observability.
+//! arena lays them out: 16 Ki keys take ~100 MB, and 1 M keys ~6 GB.
 //!
 //! The shard is generic over its word space `M`: the plain service uses
 //! [`NativeMem`] (volatile — state dies with the worker), while the
-//! supervised durable mode wraps it in `DurableMem`
-//! ([`crate::DurableShard`]) so a worker kill can run the real
+//! supervised durable mode wraps it in [`DurableMem`] ([`DurableShard`],
+//! built with [`Shard::durable`]) so a worker kill can run the real
 //! crash–restart protocol and recover every key.
 
 use crate::wire::WireCodec;
 use sbu_core::{bounded::UniversalConfig, CellPayload, Universal};
-use sbu_mem::{DataMem, NativeMem, Pid};
+use sbu_mem::{DataMem, DurableMem, NativeMem, Pid};
 use std::collections::HashMap;
 
 /// A single-owner slice of the keyed object space over word space `M`
@@ -96,7 +94,6 @@ where
             let config = UniversalConfig::for_procs(1).group_commit(self.group_commit);
             let built = Universal::builder(1)
                 .config(config)
-                .shard(self.id)
                 .build(&mut self.mem, self.template.clone());
             self.objects.insert(key, built);
         }
@@ -129,12 +126,45 @@ where
                 .collect()
         }
     }
+}
 
-    /// The word space and the materialized objects, together — the seam
-    /// the durable wrapper uses to run crash–restart recovery over every
-    /// key.
-    pub(crate) fn mem_and_objects(&mut self) -> (&M, &HashMap<u64, Universal<S>>) {
-        (&self.mem, &self.objects)
+/// A shard whose word space is a [`DurableMem`] over [`NativeMem`] — the
+/// recoverable twin of the plain [`Shard`], built with [`Shard::durable`].
+/// Applies go through the same per-key `Universal` instances; the only
+/// addition is [`crash_recover`](Shard::crash_recover), which runs the
+/// repo's crash–restart protocol over every materialized key.
+pub type DurableShard<S> = Shard<S, DurableMem<NativeMem<CellPayload<S>>>>;
+
+impl<S> DurableShard<S>
+where
+    S: WireCodec + Send + Sync,
+    S::Op: Send + Sync,
+    S::Resp: Send + Sync,
+{
+    /// An empty durable shard (honest persistence: every in-flight write
+    /// survives a crash — the conservative-hardware model), over a packed
+    /// [`NativeMem::single_owner`] arena like [`Shard::new`]'s.
+    pub fn durable(id: usize, template: S) -> Self {
+        Self::with_mem(id, template, DurableMem::new(NativeMem::single_owner()))
+    }
+
+    /// Model the owning worker dying and coming back: crash the shard's
+    /// single processor (resolving unfenced persists by the torn-persist
+    /// policy), restart it, and run [`sbu_core::Universal::recover`] on
+    /// every materialized object — the same protocol the crash-era stress
+    /// harness drives (`crates/stress`, `RecoverableCounter`). This is a
+    /// *processor* crash, the paper's fault model: the worker thread dies
+    /// but the word space survives, exactly like the in-process service
+    /// where a respawned worker reopens the same memory. Idempotent per
+    /// crash; acked operations survive. Returns any durability violations
+    /// the memory recorded (empty under the honest policy).
+    pub fn crash_recover(&mut self) -> Vec<String> {
+        self.mem.crash::<CellPayload<S>>(&[Pid(0)]);
+        self.mem.restart(Pid(0));
+        for obj in self.objects.values() {
+            obj.recover(&self.mem, Pid(0));
+        }
+        self.mem.violations()
     }
 }
 

@@ -3,9 +3,11 @@
 //!
 //! Server shape: one acceptor thread polls a non-blocking listener; each
 //! accepted connection gets a reader thread that feeds the stream through
-//! a [`FrameDecoder`] and routes complete frames into the same per-worker
-//! inboxes the in-process transport uses — the worker/shard loop never
-//! learns whether its requests arrived over a mailbox or a socket.
+//! a [`FrameDecoder`] and routes complete frames into the service's
+//! per-worker inboxes, the same ones in-process clients push into — the
+//! worker/shard loop never learns whether its requests arrived over a
+//! mailbox or a socket. The acceptor lets go of each reader thread once
+//! it has exited, so reconnects do not pile up finished threads.
 //!
 //! Failure containment: a [`WireError::BadLength`] on a live stream kills
 //! *only that connection* (typed close, counted as `service.conn_drop`);
@@ -14,9 +16,9 @@
 //! worker never sees a partial frame; a well-framed frame it cannot serve
 //! (not a request, an undecodable op) it drops like a corrupt one.
 //!
-//! Instruments (lane `workers + clients`, single-writer via a mutex):
-//! `service.accept`, `service.conn_drop`, `service.read_syscall`,
-//! `service.partial_frame`.
+//! Instruments (lane `workers + clients`, single-writer via a mutex that
+//! only an `obs` build takes): `service.accept`, `service.conn_drop`,
+//! `service.read_syscall`, `service.partial_frame`.
 
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -32,7 +34,7 @@ use std::time::{Duration, Instant};
 use sbu_obs::Counter;
 
 use crate::route::ShardMap;
-use crate::transport::{ClientConn, ConnEvent, Delivery, Mailbox, RecvOutcome, Transport};
+use crate::transport::{ClientConn, ConnEvent, Delivery, Inboxes, Transport};
 use crate::wire::{control_frame, FrameDecoder, KIND_BUSY};
 
 /// How long a reader blocks in `read` before rechecking the stop flag.
@@ -127,6 +129,7 @@ pub(crate) struct SocketObs {
     lane: usize,
     /// Serializes lane writes across acceptor + reader threads (the lanes
     /// are single-writer by contract; the socket plane has many threads).
+    /// Taken only when instruments record.
     guard: Mutex<()>,
 }
 
@@ -148,24 +151,15 @@ impl SocketObs {
         }
     }
 
-    fn accept_incr(&self) {
+    /// Add one to `counter` (one of this struct's own) on the transport
+    /// lane. Without the `obs` feature the counter is a no-op, so the lock
+    /// is skipped too.
+    fn incr(&self, counter: &Counter) {
+        if !sbu_obs::enabled() {
+            return;
+        }
         let _g = self.guard.lock();
-        self.accept.incr(self.lane);
-    }
-
-    fn conn_drop_incr(&self) {
-        let _g = self.guard.lock();
-        self.conn_drop.incr(self.lane);
-    }
-
-    fn read_syscall_incr(&self) {
-        let _g = self.guard.lock();
-        self.read_syscall.incr(self.lane);
-    }
-
-    fn partial_frame_incr(&self) {
-        let _g = self.guard.lock();
-        self.partial_frame.incr(self.lane);
+        counter.incr(self.lane);
     }
 }
 
@@ -179,7 +173,7 @@ type WriterMap = Arc<Mutex<HashMap<u32, Writer>>>;
 /// [`Transport::connect`] dial the endpoint like any remote peer would —
 /// they share no memory with the server beyond the obs registry.
 pub(crate) struct Socket {
-    inboxes: Arc<Vec<Mailbox>>,
+    /// Stops the acceptor and the readers.
     stop: Arc<AtomicBool>,
     writers: WriterMap,
     endpoint: String,
@@ -188,35 +182,25 @@ pub(crate) struct Socket {
 }
 
 impl Socket {
-    /// Bind a TCP listener on `addr` and start accepting.
+    /// Bind a TCP listener on `addr` and start feeding `inboxes`.
     pub(crate) fn tcp(
         addr: &str,
         map: ShardMap,
-        workers: usize,
-        capacity: usize,
+        inboxes: Arc<Inboxes>,
         obs: Arc<SocketObs>,
     ) -> std::io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         let local: SocketAddr = listener.local_addr()?;
         let endpoint = format!("tcp://{local}");
-        Self::start(
-            Listener::Tcp(listener),
-            endpoint,
-            None,
-            map,
-            workers,
-            capacity,
-            obs,
-        )
+        Self::start(Listener::Tcp(listener), endpoint, None, map, inboxes, obs)
     }
 
     /// Bind a Unix-domain listener on `path` (unlinking any stale socket
-    /// file first) and start accepting.
+    /// file first) and start feeding `inboxes`.
     pub(crate) fn unix(
         path: &Path,
         map: ShardMap,
-        workers: usize,
-        capacity: usize,
+        inboxes: Arc<Inboxes>,
         obs: Arc<SocketObs>,
     ) -> std::io::Result<Self> {
         let _ = std::fs::remove_file(path);
@@ -227,8 +211,7 @@ impl Socket {
             endpoint,
             Some(path.to_path_buf()),
             map,
-            workers,
-            capacity,
+            inboxes,
             obs,
         )
     }
@@ -238,19 +221,15 @@ impl Socket {
         endpoint: String,
         unix_path: Option<PathBuf>,
         map: ShardMap,
-        workers: usize,
-        capacity: usize,
+        inboxes: Arc<Inboxes>,
         obs: Arc<SocketObs>,
     ) -> std::io::Result<Self> {
         listener.set_nonblocking()?;
-        let inboxes: Arc<Vec<Mailbox>> =
-            Arc::new((0..workers).map(|_| Mailbox::new(capacity)).collect());
         let stop = Arc::new(AtomicBool::new(false));
         let writers: WriterMap = Arc::new(Mutex::new(HashMap::new()));
         let acceptor = {
             let stop = Arc::clone(&stop);
             let writers = Arc::clone(&writers);
-            let inboxes = Arc::clone(&inboxes);
             thread::Builder::new()
                 .name("sbu-service-accept".into())
                 .spawn(move || {
@@ -261,15 +240,18 @@ impl Socket {
                         }
                         match listener.accept() {
                             Ok(conn) => {
-                                obs.accept_incr();
+                                obs.incr(&obs.accept);
                                 let _ = conn.set_read_timeout(Some(READ_POLL));
+                                // Detach readers whose connection is over:
+                                // a finished thread's stack stays mapped
+                                // until its handle is joined or dropped.
+                                readers.retain(|h| !h.is_finished());
                                 readers.push(spawn_reader(
                                     conn,
                                     Arc::clone(&stop),
                                     Arc::clone(&writers),
                                     Arc::clone(&inboxes),
                                     map,
-                                    workers,
                                     Arc::clone(&obs),
                                 ));
                             }
@@ -284,8 +266,8 @@ impl Socket {
                             }
                         }
                     }
-                    // Join readers on the way out so `shutdown` only has
-                    // to join the acceptor.
+                    // Join the live readers on the way out so `shutdown`
+                    // only has to join the acceptor.
                     for reader in readers {
                         let _ = reader.join();
                     }
@@ -293,7 +275,6 @@ impl Socket {
                 .expect("spawn acceptor thread")
         };
         Ok(Self {
-            inboxes,
             stop,
             writers,
             endpoint,
@@ -304,10 +285,6 @@ impl Socket {
 }
 
 impl Transport for Socket {
-    fn recv_requests(&self, worker: usize) -> RecvOutcome {
-        self.inboxes[worker].recv(&self.stop)
-    }
-
     fn send_reply(&self, client: u32, delivery: Delivery) {
         // Clone the writer handle out of the registry before touching the
         // stream, so a slow peer never holds the registry lock.
@@ -336,12 +313,8 @@ impl Transport for Socket {
         }
     }
 
-    fn requeue_front(&self, worker: usize, bytes: Vec<u8>) {
-        self.inboxes[worker].push_front(bytes);
-    }
-
-    fn connect(self: Arc<Self>, client: u32) -> Box<dyn ClientConn> {
-        Box::new(SocketConn::dial(self.endpoint.clone(), client))
+    fn connect(self: Arc<Self>, _client: u32) -> Box<dyn ClientConn> {
+        Box::new(SocketConn::dial(self.endpoint.clone()))
     }
 
     fn shutdown(&self) {
@@ -354,9 +327,6 @@ impl Transport for Socket {
             let _ = acceptor.join();
         }
         self.writers.lock().clear();
-        for inbox in self.inboxes.iter() {
-            inbox.notify_all();
-        }
         if let Some(path) = &self.unix_path {
             let _ = std::fs::remove_file(path);
         }
@@ -386,9 +356,8 @@ fn spawn_reader(
     mut conn: Conn,
     stop: Arc<AtomicBool>,
     writers: WriterMap,
-    inboxes: Arc<Vec<Mailbox>>,
+    inboxes: Arc<Inboxes>,
     map: ShardMap,
-    workers: usize,
     obs: Arc<SocketObs>,
 ) -> thread::JoinHandle<()> {
     thread::Builder::new()
@@ -414,12 +383,12 @@ fn spawn_reader(
                     }
                     Err(_) => {
                         if !stop.load(Ordering::SeqCst) {
-                            obs.conn_drop_incr();
+                            obs.incr(&obs.conn_drop);
                         }
                         break;
                     }
                 };
-                obs.read_syscall_incr();
+                obs.incr(&obs.read_syscall);
                 dec.push(&buf[..n]);
                 loop {
                     match dec.next_frame() {
@@ -444,8 +413,8 @@ fn spawn_reader(
                             if !registered.contains(&frame.client) {
                                 registered.push(frame.client);
                             }
-                            let worker = map.shard_of(frame.key) % workers;
-                            if inboxes[worker].try_push(frame.to_bytes()).is_err() {
+                            let worker = map.shard_of(frame.key) % inboxes.len();
+                            if inboxes.try_push(worker, frame.to_bytes()).is_err() {
                                 // Inbox at its high watermark: answer Busy
                                 // directly so the client's retry loop backs
                                 // off — the socket itself never blocks on a
@@ -461,7 +430,7 @@ fn spawn_reader(
                             // body) we can't trust poisons the rest of the
                             // stream — typed close of this connection only;
                             // the worker never sees it.
-                            obs.conn_drop_incr();
+                            obs.incr(&obs.conn_drop);
                             conn.shutdown_both();
                             deregister(&writers, &registered, &writer);
                             break 'conn;
@@ -469,7 +438,7 @@ fn spawn_reader(
                     }
                 }
                 if dec.pending_len() > 0 {
-                    obs.partial_frame_incr();
+                    obs.incr(&obs.partial_frame);
                 }
             }
             deregister(&writers, &registered, &writer);
@@ -490,9 +459,10 @@ fn deregister(writers: &Mutex<HashMap<u32, Writer>>, registered: &[u32], writer:
 }
 
 /// The client half: one dialed connection plus its incremental decoder.
-/// Built either through [`Transport::connect`] (loopback clients inside
-/// the server process) or [`SocketConn::dial`] directly (a true remote
-/// client, as `service_loadgen --remote` does).
+/// A service's own client handles get one through [`Transport::connect`]
+/// (`service_loadgen --remote` builds a service on the endpoint, so its
+/// clients connect that way too); [`SocketConn::dial`] opens one to any
+/// endpoint directly, for a peer outside the service.
 pub struct SocketConn {
     endpoint: String,
     stream: Option<Conn>,
@@ -503,7 +473,7 @@ impl SocketConn {
     /// Create a lazily-dialed connection to `tcp://HOST:PORT` or
     /// `unix://PATH`. The dial happens on the first send, so constructing
     /// clients against a not-yet-listening server is fine.
-    pub fn dial(endpoint: String, _client: u32) -> Self {
+    pub fn dial(endpoint: String) -> Self {
         Self {
             endpoint,
             stream: None,

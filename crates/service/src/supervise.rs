@@ -14,7 +14,8 @@
 //!   frame *before* the panic, so it is never silently lost; clients
 //!   retry against the respawned (fresh) shard.
 //! * [`Recovery::Durable`] — each shard's memory is a
-//!   [`DurableMem`]-backed word space. The crash runs the repo's real
+//!   [`DurableMem`](sbu_mem::DurableMem)-backed word space
+//!   ([`DurableShard`](crate::DurableShard)). The crash runs the repo's real
 //!   crash–restart protocol (`crash` resolves unfenced persists; the
 //!   shared word space survives, as it does when a worker *thread* dies
 //!   in-process) and every materialized `Universal` replays
@@ -25,11 +26,6 @@
 //! Because kills are counted in *requests processed* (not wall time), a
 //! 1-client / 1-worker run is fully deterministic: the same seed kills at
 //! the same request boundaries and the post-run report is byte-identical.
-
-use crate::shard::Shard;
-use crate::wire::WireCodec;
-use sbu_core::CellPayload;
-use sbu_mem::{DurableMem, NativeMem, Pid};
 
 /// Seeded schedule of worker kills, in units of requests processed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,8 +52,8 @@ pub enum Recovery {
     /// the in-flight request is answered `Unavailable`. The default.
     #[default]
     Volatile,
-    /// [`DurableMem`]-backed shards: a kill runs the crash–restart
-    /// protocol and per-key [`sbu_core::Universal::recover`]; acked
+    /// [`DurableMem`](sbu_mem::DurableMem)-backed shards: a kill runs the
+    /// crash–restart protocol and per-key [`sbu_core::Universal::recover`]; acked
     /// operations are never lost.
     Durable,
 }
@@ -110,86 +106,10 @@ impl KillState {
     }
 }
 
-/// A shard whose word space is a [`DurableMem`] over [`NativeMem`] — the
-/// recoverable twin of the plain [`Shard`]. Applies go through the same
-/// per-key `Universal` instances; the only addition is
-/// [`crash_recover`](DurableShard::crash_recover), which runs the repo's
-/// crash–restart protocol over every materialized key.
-pub struct DurableShard<S: WireCodec> {
-    inner: Shard<S, DurableMem<NativeMem<CellPayload<S>>>>,
-}
-
-impl<S> DurableShard<S>
-where
-    S: WireCodec + Send + Sync,
-    S::Op: Send + Sync,
-    S::Resp: Send + Sync,
-{
-    /// An empty durable shard (honest persistence: every in-flight write
-    /// survives a crash — the conservative-hardware model), over a packed
-    /// [`NativeMem::single_owner`] arena like [`Shard::new`]'s.
-    pub fn new(id: usize, template: S) -> Self {
-        Self {
-            inner: Shard::with_mem(id, template, DurableMem::new(NativeMem::single_owner())),
-        }
-    }
-
-    /// Apply `op` to the object at `key` (see [`Shard::apply`]).
-    pub fn apply(&mut self, key: u64, op: &S::Op) -> S::Resp {
-        self.inner.apply(key, op)
-    }
-
-    /// Model the owning worker dying and coming back: crash the shard's
-    /// single processor (resolving unfenced persists by the torn-persist
-    /// policy), restart it, and run [`sbu_core::Universal::recover`] on
-    /// every materialized object — the same protocol the crash-era stress
-    /// harness drives (`crates/stress`, `RecoverableCounter`). This is a
-    /// *processor* crash, the paper's fault model: the worker thread dies
-    /// but the word space survives, exactly like the in-process service
-    /// where a respawned worker reopens the same memory. Idempotent per
-    /// crash; acked operations survive. Returns any durability violations
-    /// the memory recorded (empty under the honest policy).
-    pub fn crash_recover(&mut self) -> Vec<String> {
-        let (mem, objects) = self.inner.mem_and_objects();
-        mem.crash::<CellPayload<S>>(&[Pid(0)]);
-        mem.restart(Pid(0));
-        for obj in objects.values() {
-            obj.recover(mem, Pid(0));
-        }
-        mem.violations()
-    }
-}
-
-impl<S: WireCodec> DurableShard<S> {
-    /// This shard's index.
-    pub fn id(&self) -> usize {
-        self.inner.id()
-    }
-
-    /// Number of materialized keys.
-    pub fn keys(&self) -> usize {
-        self.inner.keys()
-    }
-
-    /// Total operations applied.
-    pub fn ops(&self) -> u64 {
-        self.inner.ops()
-    }
-}
-
-impl<S: WireCodec> std::fmt::Debug for DurableShard<S> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DurableShard")
-            .field("id", &self.id())
-            .field("keys", &self.keys())
-            .field("ops", &self.ops())
-            .finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Shard;
     use sbu_spec::specs::{CounterOp, CounterSpec};
 
     #[test]
@@ -228,7 +148,7 @@ mod tests {
 
     #[test]
     fn durable_shard_survives_crash_recover() {
-        let mut shard = DurableShard::new(0, CounterSpec::new());
+        let mut shard = Shard::durable(0, CounterSpec::new());
         for _ in 0..5 {
             shard.apply(1, &CounterOp::Inc);
         }

@@ -6,30 +6,34 @@
 //! [`Transport`] trait is the cut between the two:
 //!
 //! ```text
-//!   ServiceClient ──▶ ClientConn::send ──▶ (wire) ──▶ worker inbox
-//!        ▲                                               │
+//!   ServiceClient ──▶ ClientConn::send ──▶ (wire) ──▶ Inboxes ──▶ worker
+//!        ▲                                                          │
 //!        └── ClientConn::recv_until ◀── (wire) ◀── Transport::send_reply
 //! ```
 //!
-//! Three implementations exist:
+//! The request inboxes are not part of any carrier: the service owns one
+//! set of per-worker inboxes (queue, stop flag, high-watermark shed,
+//! durable requeue) and every carrier pushes into it. Three carriers exist:
 //!
-//! * [`InProcess`] (here) — the original mailbox plane: lock-and-condvar
-//!   queues standing exactly where a socket would stand. Zero syscalls,
-//!   the baseline for experiment E15.
-//! * [`crate::socket::Socket`] — a real blocking TCP or Unix-domain-socket
-//!   listener: an acceptor thread plus per-connection readers feeding the
-//!   same per-worker inboxes through [`crate::FrameDecoder`].
-//! * [`crate::fault::Faulty`] — the seeded fault injector, now a *wrapper*
-//!   over any inner transport: it drops/duplicates/corrupts/delays/
-//!   truncates frames on their way into the inner transport, so the same
-//!   fault battery runs over mailboxes and over real sockets.
+//! * [`InProcess`] (here) — the original mailbox plane: its clients push
+//!   straight into the inboxes, and replies travel through lock-and-
+//!   condvar reply boxes standing exactly where a socket would stand.
+//!   Zero syscalls, the baseline for experiment E15.
+//! * `Socket` (in `socket.rs`) — a real blocking TCP or
+//!   Unix-domain-socket listener: an acceptor thread plus per-connection
+//!   readers that decode the stream with [`crate::FrameDecoder`] and push
+//!   each frame into the inboxes.
+//! * `Faulty` (in `fault.rs`) — the seeded fault injector, a *wrapper*
+//!   over either carrier: it drops/duplicates/corrupts/delays/truncates
+//!   frames on their way into the inner carrier, so the same fault battery
+//!   runs over mailboxes and over real sockets.
 //!
 //! A transport is picked with [`TransportConfig`] on
 //! [`crate::Service::builder`].
 //!
-//! Every blob a request inbox or an in-process reply box holds is exactly
-//! one encoded frame, and an inbox at its high watermark is answered with
-//! a [`KIND_BUSY`] frame to the refused frame's client on every carrier.
+//! Every blob an inbox or an in-process reply box holds is exactly one
+//! encoded frame, and an inbox at its high watermark is answered with a
+//! [`KIND_BUSY`] frame to the refused frame's client on every carrier.
 
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
@@ -92,21 +96,6 @@ pub enum Delivery {
     Truncated(Vec<u8>),
 }
 
-/// One receive from a worker's request stream.
-#[derive(Debug)]
-pub enum RecvOutcome {
-    /// The oldest queued request blob, plus the queue depth left behind
-    /// (feeds `service.queue_depth`).
-    Blob {
-        /// The encoded request bytes.
-        bytes: Vec<u8>,
-        /// Blobs still queued after this one.
-        depth: u64,
-    },
-    /// The transport was shut down; the worker loop should return.
-    Stopped,
-}
-
 /// One event on a client's reply stream.
 #[derive(Debug)]
 pub enum ConnEvent {
@@ -123,28 +112,22 @@ pub enum ConnEvent {
     Disconnected,
 }
 
-/// The server side of a transport: what the worker loop and the reply path
-/// see. Implementations must be safe to share across worker threads.
+/// The server side of a transport: the reply path, client connections and
+/// the carrier's lifetime. Requests reach the workers through the
+/// service's per-worker inboxes, which every carrier pushes into.
+/// Implementations must be safe to share across worker threads.
 pub trait Transport: Send + Sync {
-    /// Block until a request blob is available for `worker` (or the
-    /// transport shuts down).
-    fn recv_requests(&self, worker: usize) -> RecvOutcome;
-
     /// Deliver an encoded reply frame toward `client`. Reply paths are
     /// never shed — clients drain what they asked for.
     fn send_reply(&self, client: u32, delivery: Delivery);
-
-    /// Put an encoded frame back at the *front* of `worker`'s request
-    /// queue, bypassing any fault injection — the durable kill path
-    /// restores the in-flight frame exactly where it was.
-    fn requeue_front(&self, worker: usize, bytes: Vec<u8>);
 
     /// Open a client connection. For socket transports the dial is lazy
     /// (established on first send), so building clients is cheap.
     fn connect(self: Arc<Self>, client: u32) -> Box<dyn ClientConn>;
 
-    /// Stop the transport: wake every blocked `recv_requests`, join any
-    /// internal threads, release OS resources. Idempotent.
+    /// Stop the carrier: join any internal threads and release OS
+    /// resources. Idempotent. The service stops its inboxes after this
+    /// returns.
     fn shutdown(&self);
 
     /// The canonical endpoint string (`tcp://…` / `unix://…`) clients
@@ -177,8 +160,8 @@ pub trait ClientConn: Send {
 }
 
 /// A queue of encoded frames, one per blob, with a wakeup signal and an
-/// optional high watermark — the shared inbox core of both the in-process
-/// and the socket transport.
+/// optional high watermark: one worker's inbox, or one in-process
+/// client's reply box.
 pub(crate) struct Mailbox {
     queue: Mutex<VecDeque<Vec<u8>>>,
     ready: Condvar,
@@ -195,7 +178,7 @@ impl Mailbox {
         }
     }
 
-    /// Push unconditionally (reply boxes, fault-bypassing paths).
+    /// Push unconditionally (reply boxes).
     pub(crate) fn push(&self, bytes: Vec<u8>) {
         self.queue.lock().push_back(bytes);
         self.ready.notify_one();
@@ -220,17 +203,17 @@ impl Mailbox {
         self.ready.notify_one();
     }
 
-    /// Block until a blob is queued and pop it, or until `stop` is set
-    /// with the queue empty.
-    pub(crate) fn recv(&self, stop: &AtomicBool) -> RecvOutcome {
+    /// Block until a blob is queued and pop it, with the number of blobs
+    /// still queued behind it; `None` once `stop` is set and the queue is
+    /// empty.
+    pub(crate) fn recv(&self, stop: &AtomicBool) -> Option<(Vec<u8>, u64)> {
         let mut q = self.queue.lock();
         loop {
             if let Some(bytes) = q.pop_front() {
-                let depth = q.len() as u64;
-                return RecvOutcome::Blob { bytes, depth };
+                return Some((bytes, q.len() as u64));
             }
             if stop.load(Ordering::SeqCst) {
-                return RecvOutcome::Stopped;
+                return None;
             }
             self.ready.wait(&mut q);
         }
@@ -256,32 +239,77 @@ impl Mailbox {
     }
 }
 
-/// The in-process transport: per-worker request inboxes and per-client
-/// reply boxes, all plain bounded/unbounded queues. This is byte-for-byte
-/// the mailbox plane the service always had, now behind the seam.
-pub struct InProcess {
-    inboxes: Vec<Mailbox>,
-    replies: Vec<Mailbox>,
+/// The service's request plane: one inbox per worker, which every carrier
+/// pushes into and only the owning worker pops.
+pub(crate) struct Inboxes {
+    boxes: Vec<Mailbox>,
     stop: AtomicBool,
 }
 
-impl InProcess {
-    /// Build the mailbox plane for `workers` × `clients` with the given
-    /// request-inbox high watermark (`0` = unbounded).
-    pub(crate) fn new(workers: usize, clients: usize, capacity: usize) -> Self {
+impl Inboxes {
+    /// One inbox per worker, each shedding past `capacity` queued frames
+    /// (`0` = unbounded).
+    pub(crate) fn new(workers: usize, capacity: usize) -> Self {
         Self {
-            inboxes: (0..workers).map(|_| Mailbox::new(capacity)).collect(),
-            replies: (0..clients).map(|_| Mailbox::new(0)).collect(),
+            boxes: (0..workers).map(|_| Mailbox::new(capacity)).collect(),
             stop: AtomicBool::new(false),
+        }
+    }
+
+    /// Number of inboxes (one per worker).
+    pub(crate) fn len(&self) -> usize {
+        self.boxes.len()
+    }
+
+    /// Queue a request for `worker`, shedding at the high watermark: `Err`
+    /// hands back a frame that was *not* queued, for the carrier to answer
+    /// `Busy`.
+    pub(crate) fn try_push(&self, worker: usize, bytes: Vec<u8>) -> Result<(), Vec<u8>> {
+        self.boxes[worker].try_push(bytes)
+    }
+
+    /// Put a frame back at the *front* of `worker`'s inbox: the durable
+    /// kill path restores its in-flight frame exactly where it was. No
+    /// carrier sits on this path, so no fault is injected on it.
+    pub(crate) fn requeue_front(&self, worker: usize, bytes: Vec<u8>) {
+        self.boxes[worker].push_front(bytes);
+    }
+
+    /// Block until a frame is queued for `worker` and pop it, with the
+    /// inbox depth left behind (feeds `service.queue_depth`); `None` once
+    /// the inboxes are stopped and this one is empty.
+    pub(crate) fn recv(&self, worker: usize) -> Option<(Vec<u8>, u64)> {
+        self.boxes[worker].recv(&self.stop)
+    }
+
+    /// Stop the plane: every worker drains what is queued, then its
+    /// [`recv`](Self::recv) returns `None`.
+    pub(crate) fn stop(&self) {
+        self.stop.store(true, Ordering::SeqCst);
+        for inbox in &self.boxes {
+            inbox.notify_all();
+        }
+    }
+}
+
+/// The in-process carrier: clients push straight into the service's
+/// inboxes, and each client has a plain unbounded reply box.
+pub struct InProcess {
+    inboxes: Arc<Inboxes>,
+    replies: Vec<Mailbox>,
+}
+
+impl InProcess {
+    /// Build the reply boxes for `clients` over the service's `inboxes`.
+    pub(crate) fn new(inboxes: Arc<Inboxes>, clients: usize) -> Self {
+        Self {
+            inboxes,
+            replies: (0..clients).map(|_| Mailbox::new(0)).collect(),
         }
     }
 }
 
 impl Transport for InProcess {
-    fn recv_requests(&self, worker: usize) -> RecvOutcome {
-        self.inboxes[worker].recv(&self.stop)
-    }
-
     fn send_reply(&self, client: u32, delivery: Delivery) {
         match delivery {
             Delivery::Intact(bytes) => self.replies[client as usize].push(bytes),
@@ -289,10 +317,6 @@ impl Transport for InProcess {
             // like a drop (the retry layer recovers either way).
             Delivery::Truncated(_) => {}
         }
-    }
-
-    fn requeue_front(&self, worker: usize, bytes: Vec<u8>) {
-        self.inboxes[worker].push_front(bytes);
     }
 
     fn connect(self: Arc<Self>, client: u32) -> Box<dyn ClientConn> {
@@ -303,13 +327,8 @@ impl Transport for InProcess {
     }
 
     fn shutdown(&self) {
-        self.stop.store(true, Ordering::SeqCst);
-        for inbox in &self.inboxes {
-            inbox.notify_all();
-        }
-        for replies in &self.replies {
-            replies.notify_all();
-        }
+        // No threads and no OS resources: a reply wait ends at its own
+        // deadline, and the inboxes belong to the service.
     }
 }
 
@@ -326,7 +345,7 @@ impl ClientConn for InProcessConn {
         let Delivery::Intact(bytes) = delivery else {
             return;
         };
-        let Err(bytes) = self.transport.inboxes[worker].try_push(bytes) else {
+        let Err(bytes) = self.transport.inboxes.try_push(worker, bytes) else {
             return;
         };
         // Shed at the watermark: answer `Busy` to the frame's own client,
@@ -394,20 +413,17 @@ mod tests {
             mbox.push(vec![i]);
         }
         let stop = AtomicBool::new(false);
-        match mbox.recv(&stop) {
-            RecvOutcome::Blob { bytes, depth } => {
-                assert_eq!(bytes, vec![0]);
-                assert_eq!(depth, 4);
-            }
-            RecvOutcome::Stopped => panic!("queued frames must drain"),
-        }
+        assert_eq!(mbox.recv(&stop), Some((vec![0], 4)));
     }
 
     #[test]
-    fn recv_returns_stopped_once_empty_and_stopped() {
-        let mbox = Mailbox::new(0);
-        let stop = AtomicBool::new(true);
-        assert!(matches!(mbox.recv(&stop), RecvOutcome::Stopped));
+    fn stopped_inboxes_drain_then_return_none() {
+        let inboxes = Inboxes::new(2, 0);
+        inboxes.try_push(1, vec![7]).unwrap();
+        inboxes.stop();
+        assert_eq!(inboxes.recv(1), Some((vec![7], 0)), "queued frames drain");
+        assert_eq!(inboxes.recv(1), None);
+        assert_eq!(inboxes.recv(0), None);
     }
 
     #[test]
@@ -422,15 +438,11 @@ mod tests {
 
     #[test]
     fn requeue_front_goes_ahead_of_queued_frames() {
-        let mbox = Mailbox::new(0);
-        mbox.push(vec![2]);
-        mbox.push_front(vec![1]);
-        let stop = AtomicBool::new(false);
-        for want in [1, 2] {
-            match mbox.recv(&stop) {
-                RecvOutcome::Blob { bytes, .. } => assert_eq!(bytes, vec![want]),
-                RecvOutcome::Stopped => panic!(),
-            }
-        }
+        // Past the watermark too: a requeued frame is never shed.
+        let inboxes = Inboxes::new(1, 1);
+        inboxes.try_push(0, vec![2]).unwrap();
+        inboxes.requeue_front(0, vec![1]);
+        assert_eq!(inboxes.recv(0), Some((vec![1], 1)));
+        assert_eq!(inboxes.recv(0), Some((vec![2], 0)));
     }
 }

@@ -171,12 +171,6 @@ impl Frame {
         out
     }
 
-    /// Whether this is a [`KIND_BUSY`] / [`KIND_UNAVAILABLE`] control
-    /// response rather than an application frame.
-    pub fn is_control(&self) -> bool {
-        self.kind == KIND_BUSY || self.kind == KIND_UNAVAILABLE
-    }
-
     /// Decode one whole encoded frame: exactly the bytes
     /// [`encode`](Self::encode) wrote, as a queued blob holds them.
     pub(crate) fn decode(bytes: &[u8]) -> Result<Frame, WireError> {
@@ -644,12 +638,12 @@ mod tests {
         let req = request_frame::<CounterSpec>(2, 11, 99, &CounterOp::Inc);
         for kind in [KIND_BUSY, KIND_UNAVAILABLE] {
             let ctl = control_frame(&req, kind);
-            assert!(ctl.is_control());
+            assert_eq!(ctl.kind, kind);
+            assert_eq!((ctl.client, ctl.seq, ctl.key), (2, 11, 99));
             assert!(ctl.payload.is_empty());
             let mut dec = FrameDecoder::new();
             dec.push(&ctl.to_bytes());
             assert_eq!(dec.next_frame().unwrap(), Some(ctl));
         }
-        assert!(!req.is_control());
     }
 }

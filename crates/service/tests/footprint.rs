@@ -7,7 +7,7 @@
 
 #![cfg(target_os = "linux")]
 
-use sbu_service::{DurableShard, Shard};
+use sbu_service::Shard;
 use sbu_spec::specs::{CounterOp, CounterSpec};
 
 /// Keys materialized per shard kind: enough that allocator slack and page
@@ -40,7 +40,7 @@ fn a_materialized_key_costs_at_most_16_kib() {
 
     // The volatile shard stays alive, so its pages cannot be reused here.
     let before = rss_bytes();
-    let mut durable = DurableShard::new(0, CounterSpec::new());
+    let mut durable = Shard::durable(0, CounterSpec::new());
     for key in 0..KEYS {
         assert_eq!(durable.apply(key, &CounterOp::Inc), 1);
     }

@@ -25,13 +25,10 @@ use std::time::{Duration, Instant};
 const IN_FLIGHT: usize = 4;
 const BUDGET: Duration = Duration::from_secs(1);
 
-/// A timer that cannot fire within [`BUDGET`]: floor and ceiling 5 s.
+/// A timer that cannot fire within [`BUDGET`]: a 5 s floor, which is
+/// above the timer's backoff ceiling and so pins it there.
 fn slow_timer() -> RetryPolicy {
-    let five = Duration::from_secs(5);
-    RetryPolicy {
-        max_attempt_timeout: five,
-        ..RetryPolicy::lossy().with_attempt_timeout(five)
-    }
+    RetryPolicy::lossy().with_attempt_timeout(Duration::from_secs(5))
 }
 
 fn drop_only() -> FaultProfile {

@@ -4,44 +4,29 @@
 //! disagree on `shard_of` would corrupt the single-owner discipline).
 
 use proptest::prelude::*;
-use sbu_service::{Routing, ShardMap};
+use sbu_service::ShardMap;
 
 proptest! {
     /// Totality: every key lands strictly inside the shard range, for
-    /// every power-of-two shard count and both policies.
+    /// every power-of-two shard count.
     #[test]
     fn routing_is_total(key in any::<u64>(), shift in 0usize..10) {
         let shards = 1usize << shift;
-        for routing in [Routing::Hash, Routing::Range] {
-            let map = ShardMap::new(shards).with_routing(routing);
-            prop_assert!(map.shard_of(key) < shards);
-        }
+        prop_assert!(ShardMap::new(shards).shard_of(key) < shards);
     }
 
-    /// Stability: two independently built routers with the same
-    /// configuration agree on every key, and repeated calls agree with
-    /// themselves (no hidden state).
+    /// Stability: two independently built routers with the same shard
+    /// count agree on every key, and repeated calls agree with themselves
+    /// (no hidden state).
     #[test]
     fn routing_is_a_pure_function(keys in proptest::collection::vec(any::<u64>(), 1..64), shift in 0usize..8) {
         let shards = 1usize << shift;
-        for routing in [Routing::Hash, Routing::Range] {
-            let a = ShardMap::new(shards).with_routing(routing);
-            let b = ShardMap::new(shards).with_routing(routing);
-            for &key in &keys {
-                let s = a.shard_of(key);
-                prop_assert_eq!(s, b.shard_of(key));
-                prop_assert_eq!(s, a.shard_of(key));
-            }
+        let a = ShardMap::new(shards);
+        let b = ShardMap::new(shards);
+        for &key in &keys {
+            let s = a.shard_of(key);
+            prop_assert_eq!(s, b.shard_of(key));
+            prop_assert_eq!(s, a.shard_of(key));
         }
-    }
-
-    /// The partition is a refinement chain: halving the shard count only
-    /// merges shards, it never splits one (range policy), so an elastic
-    /// merge can drop a level without re-routing within survivors.
-    #[test]
-    fn range_partition_refines(key in any::<u64>(), shift in 1usize..10) {
-        let fine = ShardMap::new(1 << shift).with_routing(Routing::Range);
-        let coarse = ShardMap::new(1 << (shift - 1)).with_routing(Routing::Range);
-        prop_assert_eq!(coarse.shard_of(key), fine.shard_of(key) / 2);
     }
 }

@@ -316,7 +316,7 @@ fn a_held_reply_beats_an_expired_deadline() {
     // request that was answered.
     let path = scratch_socket("held");
     let listener = std::os::unix::net::UnixListener::bind(&path).expect("bind");
-    let mut conn = SocketConn::dial(format!("unix://{}", path.display()), 0);
+    let mut conn = SocketConn::dial(format!("unix://{}", path.display()));
     let req = request_frame::<CounterSpec>(0, 7, 1, &CounterOp::Inc);
     conn.send(0, Delivery::Intact(req.to_bytes())); // dials
     let (mut server, _) = listener.accept().expect("accept");

@@ -90,7 +90,8 @@ pub struct StressConfig {
     /// How many threads abandon one op in their final epoch (≤ `threads`).
     pub crash_threads: usize,
     /// Ops per thread per epoch; `0` picks `max(1, 64 / threads)` so a
-    /// window never exceeds the checker's [`MAX_OPS`] bound.
+    /// window never exceeds the checker's
+    /// [`MAX_OPS`](sbu_spec::linearize::MAX_OPS) bound.
     pub epoch_ops: usize,
 }
 
@@ -144,7 +145,8 @@ pub struct TortureReport {
     pub windows_checked: usize,
     /// Largest window (in ops) the monitor had to check.
     pub largest_window: usize,
-    /// Windows skipped because they exceeded [`MAX_OPS`] (0 in any sane
+    /// Windows skipped because they exceeded
+    /// [`MAX_OPS`](sbu_spec::linearize::MAX_OPS) (0 in any sane
     /// configuration; a non-zero value means the run was *not* fully
     /// verified).
     pub overflow_windows: usize,

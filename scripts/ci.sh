@@ -2,7 +2,7 @@
 # The full local/CI gate, runnable fully offline (all dependencies are
 # vendored; `--offline` is passed to every cargo invocation).
 #
-#   scripts/ci.sh          # fmt, clippy -D warnings, build, tests, corpus replay
+#   scripts/ci.sh          # fmt, clippy -D warnings, rustdoc -D warnings, build, tests, corpus replay
 #   scripts/ci.sh --full   # additionally runs the #[ignore]d deep-exploration tests
 #
 # Deterministic by default: the vendored proptest draws from a fixed seed.
@@ -24,6 +24,12 @@ cargo fmt --all --check
 
 step "clippy (warnings are errors)"
 cargo clippy --workspace --all-targets --offline -- -D warnings
+
+step "rustdoc (warnings are errors: a deleted name must not leave a dangling intra-doc link)"
+# The vendored stand-ins are excluded: vendored proptest has a doc warning
+# of its own.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline \
+    --exclude proptest --exclude rand --exclude criterion --exclude parking_lot
 
 step "release build (both feature configs: obs off is the default, obs on must build too)"
 cargo build --release --offline
