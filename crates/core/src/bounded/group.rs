@@ -418,14 +418,7 @@ where
         );
         mem.safe_write(pid, self.cells[cell].has_state, 1);
 
-        let mut cur = self.next_of(mem, pid, cell);
-        for d in 0..self.n {
-            if cur == super::ANCHOR {
-                break;
-            }
-            mem.safe_write(pid, self.b(cur, d), 1);
-            cur = self.next_of(mem, pid, cur);
-        }
+        self.mark_distance_bits(mem, pid, cell);
         snap
     }
 }

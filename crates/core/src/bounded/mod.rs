@@ -541,16 +541,8 @@ where
         mem.data_write(pid, self.cells[cell].state, CellPayload::State(state));
         mem.safe_write(pid, self.cells[cell].has_state, 1);
 
-        // Step 6: mark distance bits on the n cells behind me so their
-        // owners can eventually reclaim them (Section 5).
-        let mut cur = self.next_of(mem, pid, cell);
-        for d in 0..self.n {
-            if cur == ANCHOR {
-                break;
-            }
-            mem.safe_write(pid, self.b(cur, d), 1);
-            cur = self.next_of(mem, pid, cur);
-        }
+        // Step 6: mark distance bits on the n cells behind me.
+        self.mark_distance_bits(mem, pid, cell);
         resp
     }
 }
@@ -566,6 +558,26 @@ impl<S> Inner<S> {
     #[inline]
     pub(crate) fn b(&self, c: usize, d: usize) -> SafeId {
         self.b_bits[c * self.n + d]
+    }
+
+    /// Step 6 of `apply`: set `b_d` on the `d + 1`-th cell behind `cell`
+    /// for every `d < n`, so their owners can eventually reclaim them
+    /// (Section 5). Each cell's `Next` is read *before* its bit is set:
+    /// that bit may be the last one the cell was missing, and the marker
+    /// holds no grab, so the owner's next GFC may INIT the cell and flush
+    /// `Next` as soon as the bit lands. Before that the cell cannot be
+    /// reclaimed, because only the cell `d + 1` ahead of it — this walk —
+    /// writes its `b_d`.
+    pub(crate) fn mark_distance_bits<M: WordMem + ?Sized>(&self, mem: &M, pid: Pid, cell: usize) {
+        let mut cur = self.next_of(mem, pid, cell);
+        for d in 0..self.n {
+            if cur == ANCHOR {
+                break;
+            }
+            let next = self.next_of(mem, pid, cur);
+            mem.safe_write(pid, self.b(cur, d), 1);
+            cur = next;
+        }
     }
 
     /// A fresh backoff for a retry loop, capped by the configured limit.

@@ -2,10 +2,15 @@
 //! its Θ(n²) pool indefinitely, while the unbounded baseline consumes one
 //! cell per operation forever.
 
+use sbu_core::bounded::UniversalConfig;
 use sbu_core::{CellPayload, UnboundedUniversal, Universal};
 use sbu_mem::Pid;
-use sbu_sim::{run_uniform, RandomAdversary, RoundRobin, RunOptions, SimMem};
+use sbu_sim::{
+    run_uniform, Adversary, Decision, RandomAdversary, RoundRobin, RunOptions, RunOutcome, SimMem,
+};
 use sbu_spec::specs::{CounterOp, CounterSpec};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// Many more operations than pool cells: reuse must work, live cells must
 /// stay bounded.
@@ -143,5 +148,111 @@ fn crash_leaks_are_bounded() {
         );
         assert!(!out.aborted, "seed {seed}: pool exhausted after crashes?");
         assert!(out.violations.is_empty(), "seed {seed}");
+    }
+}
+
+/// One leg of a [`Phased`] schedule over two processors.
+#[derive(Debug, Clone, Copy)]
+enum Leg {
+    /// Step P1 until it has completed this many operations.
+    P1Until(usize),
+    /// Step this processor this many times.
+    Steps(usize, u64),
+}
+
+/// Runs its legs in order (a leg whose processor has finished ends
+/// early), then always steps the lowest waiting pid.
+struct Phased {
+    legs: Vec<Leg>,
+    taken: u64,
+    p1_done: Arc<AtomicUsize>,
+}
+
+impl Adversary for Phased {
+    fn decide(&mut self, waiting: &[Pid], _step: u64) -> Decision {
+        let index_of = |p: usize| waiting.iter().position(|&w| w == Pid(p));
+        while let Some(&leg) = self.legs.first() {
+            let choice = match leg {
+                Leg::P1Until(k) if self.p1_done.load(Ordering::SeqCst) < k => index_of(1),
+                Leg::Steps(p, k) if self.taken < k => index_of(p),
+                _ => None,
+            };
+            if let Some(i) = choice {
+                self.taken += 1;
+                return Decision::Step(i);
+            }
+            self.legs.remove(0);
+            self.taken = 0;
+        }
+        Decision::Step(0)
+    }
+}
+
+/// P0 applies one increment and P1 three, under `legs`; the counter must
+/// read 4 afterwards.
+fn two_proc_episode(config: UniversalConfig, legs: Vec<Leg>) -> RunOutcome<()> {
+    let n = 2;
+    let mut mem: SimMem<CellPayload<CounterSpec>> = SimMem::new(n);
+    let obj = Universal::builder(n)
+        .config(config)
+        .build(&mut mem, CounterSpec::new());
+    let p1_done = Arc::new(AtomicUsize::new(0));
+    let adversary = Phased {
+        legs,
+        taken: 0,
+        p1_done: Arc::clone(&p1_done),
+    };
+    let obj2 = obj.clone();
+    let out = run_uniform(
+        &mem,
+        Box::new(adversary),
+        RunOptions::default(),
+        n,
+        move |mem, pid| {
+            for _ in 0..if pid.0 == 1 { 3 } else { 1 } {
+                obj2.apply(mem, pid, &CounterOp::Inc);
+                if pid.0 == 1 {
+                    p1_done.fetch_add(1, Ordering::SeqCst);
+                }
+            }
+        },
+    );
+    out.assert_clean();
+    assert_eq!(obj.apply(&mem, Pid(0), &CounterOp::Read), 4);
+    out
+}
+
+/// Regression for `cell N: followed a ⊥ Next pointer`: the distance-bit
+/// walk of step 6 must read a cell's `Next` before setting its bit, since
+/// that bit can complete the cell's marks and the marker holds no grab.
+/// With n = 2: P1 completes op 1 (cell X); P0 runs op 2 part-way; P1
+/// completes op 3, which sets `X.b_1`; P0 takes one step; P1 runs part of
+/// op 4; P0 finishes. When P0's one step is the write of `X.b_0`, op 4's
+/// GFC reclaims X within its first ~25 steps and re-appends it (a new
+/// `Next`) some 60 steps later, so P0's next read lands on a flushed
+/// `Next` for most of the sampled cut points.
+#[test]
+fn distance_bit_walk_never_follows_a_reclaimed_next() {
+    for config in [
+        UniversalConfig::for_procs(2),
+        UniversalConfig::for_procs(2).group_commit(true),
+    ] {
+        // P0's first steps of op 2 are the same in every schedule below:
+        // P1's op 1, then P0 alone.
+        let op2_steps = two_proc_episode(config, vec![Leg::P1Until(1)]).steps_per_proc[0];
+        for stop in op2_steps.saturating_sub(8)..op2_steps {
+            for op4_steps in (16..=96).step_by(16) {
+                two_proc_episode(
+                    config,
+                    vec![
+                        Leg::P1Until(1),
+                        Leg::Steps(0, stop),
+                        Leg::P1Until(2),
+                        Leg::Steps(0, 1),
+                        Leg::Steps(1, op4_steps),
+                    ],
+                );
+            }
+        }
     }
 }
