@@ -11,7 +11,7 @@
 //! point is that the wait-free object stays correct and live under the same
 //! torture where a lock holder can stall everyone.
 
-use crate::{render_table, write_obs_artifact};
+use crate::{json_rows, write_artifacts, Table};
 use sbu_core::bounded::UniversalConfig;
 use sbu_obs::Json;
 use sbu_stress::{
@@ -41,10 +41,101 @@ pub const BATCHED_BACKOFF_LIMIT: u32 = 6;
 /// service plane's drain cap shape (max-size blocks, see E14).
 const BATCHED_SWEEP_CAP: usize = 8;
 
+/// One thread count of the monitored torture, verified ops/sec.
+#[derive(Debug, Clone)]
+pub struct E10Row {
+    /// Concurrent worker threads.
+    pub threads: usize,
+    /// Figure 2 `JamWord`, default backoff.
+    pub native_jam: f64,
+    /// Figure 2 `JamWord`, backoff capped at `TUNED_BACKOFF_LIMIT`.
+    pub native_jam_tuned: f64,
+    /// The same spec behind `SpinLockUniversal`.
+    pub spin_lock_jam: f64,
+    /// Windows the monitor checked on the native arm.
+    pub windows_native: usize,
+    /// Windows the monitor checked on the lock arm.
+    pub windows_lock: usize,
+}
+
+/// One cell of the batched-configuration backoff re-sweep.
+#[derive(Debug, Clone)]
+pub struct BackoffRow {
+    /// Concurrent processors.
+    pub threads: usize,
+    /// Candidate-switch backoff cap.
+    pub backoff_limit: u32,
+    /// Group-commit commands/sec in blocks of the sweep's batch cap.
+    pub commands_per_sec: f64,
+}
+
+fn torture_table() -> Table<E10Row> {
+    Table::<E10Row>::new(
+        "E10  monitored torture, ops/sec (Figure 2 JamWord; every window checked online)",
+    )
+    .num("threads", "threads", 0, |r| r.threads as f64)
+    .num("native jam", "native_jam", 0, |r| r.native_jam)
+    .num("tuned jam", "native_jam_tuned", 0, |r| r.native_jam_tuned)
+    .json("tuned_backoff_limit", |_| {
+        Json::Num(f64::from(TUNED_BACKOFF_LIMIT))
+    })
+    .num("spin-lock jam", "spin_lock_jam", 0, |r| r.spin_lock_jam)
+    .text("tuned/lock", |r| {
+        format!("{:.2}x", r.native_jam_tuned / r.spin_lock_jam)
+    })
+    .num("windows (native)", "windows_native", 0, |r| {
+        r.windows_native as f64
+    })
+    .num("windows (lock)", "windows_lock", 0, |r| {
+        r.windows_lock as f64
+    })
+}
+
+fn backoff_table() -> Table<BackoffRow> {
+    Table::<BackoffRow>::new(
+        "E10  batched-configuration backoff re-sweep, commands/sec \
+         (group commit on, blocks of 8; production cap marked)",
+    )
+    .num("threads", "threads", 0, |r| r.threads as f64)
+    .num("backoff cap", "backoff_limit", 0, |r| {
+        f64::from(r.backoff_limit)
+    })
+    .num("batched cmd/s", "commands_per_sec", 0, |r| {
+        r.commands_per_sec
+    })
+    .text("production", |r| {
+        if r.backoff_limit == BATCHED_BACKOFF_LIMIT {
+            "yes".into()
+        } else {
+            String::new()
+        }
+    })
+}
+
+/// The `BENCH_e10.json` document (schema in EXPERIMENTS.md).
+pub fn to_json(rows: &[E10Row], backoff: &[BackoffRow]) -> Json {
+    Json::obj(vec![
+        ("experiment", Json::Str("e10".into())),
+        ("object", Json::Str("jam_word".into())),
+        ("unit", Json::Str("ops_per_sec".into())),
+        ("rows", json_rows(rows, &[&torture_table()])),
+        (
+            "batched_backoff",
+            Json::obj(vec![
+                ("batch_cap", Json::Num(BATCHED_SWEEP_CAP as f64)),
+                (
+                    "production_limit",
+                    Json::Num(f64::from(BATCHED_BACKOFF_LIMIT)),
+                ),
+                ("rows", json_rows(backoff, &[&backoff_table()])),
+            ]),
+        ),
+    ])
+}
+
 /// Run the experiment, write `BENCH_e10.json`, and return the report.
 pub fn run() -> String {
     let mut rows = Vec::new();
-    let mut json_rows = Vec::new();
     let mut last_native_metrics = sbu_obs::Snapshot::default();
     for &threads in &[1usize, 2, 4, 8] {
         // Each sweep point is expressed as stress-CLI flags and parsed by
@@ -73,36 +164,21 @@ pub fn run() -> String {
         let lock = run_lock_based_jam(&cfg);
         lock.assert_clean();
         last_native_metrics = native.metrics.clone();
-
-        rows.push(vec![
-            threads.to_string(),
-            format!("{:.0}", native.ops_per_sec()),
-            format!("{:.0}", tuned.ops_per_sec()),
-            format!("{:.0}", lock.ops_per_sec()),
-            format!("{:.2}x", tuned.ops_per_sec() / lock.ops_per_sec()),
-            native.windows_checked.to_string(),
-            lock.windows_checked.to_string(),
-        ]);
-        json_rows.push(Json::obj(vec![
-            ("threads", Json::Num(threads as f64)),
-            ("native_jam", Json::Num(native.ops_per_sec())),
-            ("native_jam_tuned", Json::Num(tuned.ops_per_sec())),
-            (
-                "tuned_backoff_limit",
-                Json::Num(f64::from(TUNED_BACKOFF_LIMIT)),
-            ),
-            ("spin_lock_jam", Json::Num(lock.ops_per_sec())),
-            ("windows_native", Json::Num(native.windows_checked as f64)),
-            ("windows_lock", Json::Num(lock.windows_checked as f64)),
-        ]));
+        rows.push(E10Row {
+            threads,
+            native_jam: native.ops_per_sec(),
+            native_jam_tuned: tuned.ops_per_sec(),
+            spin_lock_jam: lock.ops_per_sec(),
+            windows_native: native.windows_checked,
+            windows_lock: lock.windows_checked,
+        });
     }
-    // Batched-configuration backoff re-sweep (ISSUE 9 satellite): the same
-    // backoff caps, but driving the group-commit bounded construction at
-    // the service drain's block shape instead of per-command JamWord
-    // traffic. Commands/sec via the E14 harness so the arms stay
-    // comparable with that experiment's table.
-    let mut backoff_rows = Vec::new();
-    let mut backoff_json = Vec::new();
+    // Batched-configuration backoff re-sweep: the same backoff caps, but
+    // driving the group-commit bounded construction at the service drain's
+    // block shape instead of per-command JamWord traffic. Commands/sec via
+    // the E14 harness so the arms stay comparable with that experiment's
+    // table.
+    let mut backoff = Vec::new();
     let backoff_registry = sbu_obs::Registry::new(8);
     for &threads in &[4usize, 8] {
         for &limit in &BATCHED_BACKOFF_SWEEP {
@@ -110,77 +186,78 @@ pub fn run() -> String {
                 .group_commit(true)
                 .with_batch_cap(BATCHED_SWEEP_CAP)
                 .with_backoff_limit(limit);
-            let tp = crate::e14_batch::batched_throughput_with(
+            backoff.push(BackoffRow {
                 threads,
-                2_000,
-                BATCHED_SWEEP_CAP,
-                config,
-                &backoff_registry,
-            );
-            backoff_rows.push(vec![
-                threads.to_string(),
-                limit.to_string(),
-                format!("{tp:.0}"),
-                if limit == BATCHED_BACKOFF_LIMIT {
-                    "yes".into()
-                } else {
-                    String::new()
-                },
-            ]);
-            backoff_json.push(Json::obj(vec![
-                ("threads", Json::Num(threads as f64)),
-                ("backoff_limit", Json::Num(f64::from(limit))),
-                ("commands_per_sec", Json::Num(tp)),
-            ]));
+                backoff_limit: limit,
+                commands_per_sec: crate::e14_batch::batched_throughput_with(
+                    threads,
+                    2_000,
+                    BATCHED_SWEEP_CAP,
+                    config,
+                    &backoff_registry,
+                ),
+            });
         }
     }
-    let doc = Json::obj(vec![
-        ("experiment", Json::Str("e10".into())),
-        ("object", Json::Str("jam_word".into())),
-        ("unit", Json::Str("ops_per_sec".into())),
-        ("rows", Json::Arr(json_rows)),
-        (
-            "batched_backoff",
-            Json::obj(vec![
-                ("batch_cap", Json::Num(BATCHED_SWEEP_CAP as f64)),
-                (
-                    "production_limit",
-                    Json::Num(f64::from(BATCHED_BACKOFF_LIMIT)),
-                ),
-                ("rows", Json::Arr(backoff_json)),
-            ]),
-        ),
-    ]);
-    let mut report = render_table(
-        "E10  monitored torture, ops/sec (Figure 2 JamWord; every window checked online)",
-        &[
-            "threads",
-            "native jam",
-            "tuned jam",
-            "spin-lock jam",
-            "tuned/lock",
-            "windows (native)",
-            "windows (lock)",
-        ],
-        &rows,
-    );
+    let mut report = torture_table().render(&rows);
     report.push('\n');
-    report.push_str(&render_table(
-        "E10  batched-configuration backoff re-sweep, commands/sec \
-         (group commit on, blocks of 8; production cap marked)",
-        &["threads", "backoff cap", "batched cmd/s", "production"],
-        &backoff_rows,
-    ));
+    report.push_str(&backoff_table().render(&backoff));
     if !last_native_metrics.is_empty() {
         report.push('\n');
         report.push_str(
             &last_native_metrics.render_table("E10  native-arm instruments (8-thread sweep)"),
         );
     }
-    match std::fs::write("BENCH_e10.json", doc.render()) {
-        Ok(()) => report.push_str("wrote BENCH_e10.json\n"),
-        Err(e) => report.push_str(&format!("could not write BENCH_e10.json: {e}\n")),
-    }
-    report.push_str(&write_obs_artifact("e10", &last_native_metrics));
+    report.push_str(&write_artifacts(
+        "e10",
+        Some(&to_json(&rows, &backoff)),
+        &last_native_metrics,
+    ));
     report
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn json_document_has_the_documented_shape() {
+        let rows = [E10Row {
+            threads: 4,
+            native_jam: 100.0,
+            native_jam_tuned: 150.0,
+            spin_lock_jam: 300.0,
+            windows_native: 12,
+            windows_lock: 34,
+        }];
+        let backoff = [BackoffRow {
+            threads: 8,
+            backoff_limit: 16,
+            commands_per_sec: 250.0,
+        }];
+        let doc = to_json(&rows, &backoff);
+        assert_eq!(doc.get("experiment").unwrap().as_str(), Some("e10"));
+        assert_eq!(doc.get("object").unwrap().as_str(), Some("jam_word"));
+        let row = &doc.get("rows").unwrap().as_arr().unwrap()[0];
+        for (key, value) in [
+            ("threads", 4.0),
+            ("native_jam", 100.0),
+            ("native_jam_tuned", 150.0),
+            ("tuned_backoff_limit", 6.0),
+            ("spin_lock_jam", 300.0),
+            ("windows_native", 12.0),
+            ("windows_lock", 34.0),
+        ] {
+            assert_eq!(row.get(key).unwrap().as_num(), Some(value), "{key}");
+        }
+        let batched = doc.get("batched_backoff").unwrap();
+        assert_eq!(batched.get("batch_cap").unwrap().as_num(), Some(8.0));
+        assert_eq!(batched.get("production_limit").unwrap().as_num(), Some(6.0));
+        let cell = &batched.get("rows").unwrap().as_arr().unwrap()[0];
+        assert_eq!(cell.get("threads").unwrap().as_num(), Some(8.0));
+        assert_eq!(cell.get("backoff_limit").unwrap().as_num(), Some(16.0));
+        assert_eq!(cell.get("commands_per_sec").unwrap().as_num(), Some(250.0));
+        // And it survives a round trip through the parser.
+        assert_eq!(Json::parse(&doc.render()).unwrap(), doc);
+    }
 }

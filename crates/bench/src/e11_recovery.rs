@@ -10,14 +10,14 @@
 //! Numbers vary by machine; the *shape* (modest constant-factor overhead,
 //! microsecond-scale recovery) is the reproducible claim.
 
-use crate::{render_table, write_obs_artifact};
-use sbu_core::{CellPayload, Universal};
+use crate::e8_throughput::{bounded_arm, counter_arm};
+use crate::{json_rows, ops_per_sec, write_artifacts, Table};
+use sbu_core::{bounded::UniversalConfig, CellPayload, Universal};
 use sbu_mem::native::NativeMem;
 use sbu_mem::{DurableMem, Pid, TornPersist, Word};
 use sbu_obs::Json;
-use sbu_spec::specs::{CounterOp, CounterSpec};
+use sbu_spec::specs::CounterSpec;
 use sbu_sticky::{JamWord, RecoverableJamWord};
-use std::sync::Arc;
 use std::time::Instant;
 
 const JAM_OBJECTS: usize = 512;
@@ -28,6 +28,25 @@ fn value_for(pid: Pid) -> Word {
     (pid.0 as Word) % (1 << WIDTH)
 }
 
+/// One thread count's durability tax.
+#[derive(Debug, Clone)]
+pub struct E11Row {
+    /// Concurrent processors.
+    pub threads: usize,
+    /// Plain `JamWord` jam+read ops/sec.
+    pub jam_plain: f64,
+    /// `RecoverableJamWord` over `DurableMem`, ops/sec.
+    pub jam_recoverable: f64,
+    /// Post-crash recovery sweep, µs per jam object.
+    pub jam_recover_us_per_obj: f64,
+    /// Bounded universal counter over `NativeMem`, ops/sec.
+    pub counter_plain: f64,
+    /// The same counter over `DurableMem`, ops/sec.
+    pub counter_recoverable: f64,
+    /// `Universal::recover` after a crash, µs.
+    pub counter_recover_us: f64,
+}
+
 /// Every thread jams its fixed value into each of `JAM_OBJECTS` fresh jam
 /// words, then reads each one back: `threads * objects * 2` operations.
 fn plain_jam_throughput(threads: usize) -> f64 {
@@ -35,22 +54,12 @@ fn plain_jam_throughput(threads: usize) -> f64 {
     let words: Vec<JamWord> = (0..JAM_OBJECTS)
         .map(|_| JamWord::new(&mut mem, threads, WIDTH))
         .collect();
-    let mem = Arc::new(mem);
-    let words = Arc::new(words);
-    let t0 = Instant::now();
-    std::thread::scope(|s| {
-        for i in 0..threads {
-            let mem = Arc::clone(&mem);
-            let words = Arc::clone(&words);
-            s.spawn(move || {
-                for w in words.iter() {
-                    w.jam(&*mem, Pid(i), value_for(Pid(i)));
-                    w.read(&*mem, Pid(i));
-                }
-            });
+    ops_per_sec(threads, JAM_OBJECTS * 2, |pid| {
+        for w in &words {
+            w.jam(&mem, pid, value_for(pid));
+            w.read(&mem, pid);
         }
-    });
-    (threads * JAM_OBJECTS * 2) as f64 / t0.elapsed().as_secs_f64()
+    })
 }
 
 /// Same workload over the durable backend with the recoverable protocol;
@@ -61,60 +70,27 @@ fn recoverable_jam_throughput(threads: usize) -> (f64, f64) {
     let words: Vec<RecoverableJamWord> = (0..JAM_OBJECTS)
         .map(|_| RecoverableJamWord::new(&mut mem, threads, WIDTH))
         .collect();
-    let mem = Arc::new(mem);
-    let words = Arc::new(words);
-    let t0 = Instant::now();
-    std::thread::scope(|s| {
-        for i in 0..threads {
-            let mem = Arc::clone(&mem);
-            let words = Arc::clone(&words);
-            s.spawn(move || {
-                for w in words.iter() {
-                    w.jam(&*mem, Pid(i), value_for(Pid(i)));
-                    w.read(&*mem, Pid(i));
-                }
-            });
+    let tp = ops_per_sec(threads, JAM_OBJECTS * 2, |pid| {
+        for w in &words {
+            w.jam(&mem, pid, value_for(pid));
+            w.read(&mem, pid);
         }
     });
-    let tp = (threads * JAM_OBJECTS * 2) as f64 / t0.elapsed().as_secs_f64();
 
     // Recovery sweep: crash pid 0, restart it, re-drive its announced jam
     // on every object. One-off cost paid at restart, not per operation.
     mem.crash::<()>(&[Pid(0)]);
     mem.restart(Pid(0));
     let t1 = Instant::now();
-    for w in words.iter() {
-        w.recover(&*mem, Pid(0));
+    for w in &words {
+        w.recover(&mem, Pid(0));
     }
     let sweep_us = t1.elapsed().as_secs_f64() * 1e6 / JAM_OBJECTS as f64;
     (tp, sweep_us)
 }
 
-/// Bounded universal counter over the native backend (non-durable baseline).
-fn plain_counter_throughput(threads: usize, registry: &sbu_obs::Registry) -> f64 {
-    let mut mem: NativeMem<CellPayload<CounterSpec>> = NativeMem::new();
-    mem.attach_obs(registry);
-    let counter = Universal::builder(threads)
-        .obs(registry)
-        .build(&mut mem, CounterSpec::new());
-    let mem = Arc::new(mem);
-    let t0 = Instant::now();
-    std::thread::scope(|s| {
-        for i in 0..threads {
-            let mem = Arc::clone(&mem);
-            let counter = counter.clone();
-            s.spawn(move || {
-                for _ in 0..COUNTER_OPS {
-                    counter.apply(&*mem, Pid(i), &CounterOp::Inc);
-                }
-            });
-        }
-    });
-    (threads * COUNTER_OPS) as f64 / t0.elapsed().as_secs_f64()
-}
-
-/// The same counter over `DurableMem` (recoverable via `Universal::recover`);
-/// also returns the post-crash recovery cost in µs.
+/// The bounded counter over `DurableMem` (recoverable via
+/// `Universal::recover`); also returns the post-crash recovery cost in µs.
 fn recoverable_counter_throughput(threads: usize, registry: &sbu_obs::Registry) -> (f64, f64) {
     let mut mem: DurableMem<NativeMem<CellPayload<CounterSpec>>> =
         DurableMem::with_policy(NativeMem::new(), TornPersist::Persist);
@@ -123,103 +99,126 @@ fn recoverable_counter_throughput(threads: usize, registry: &sbu_obs::Registry) 
     let counter = Universal::builder(threads)
         .obs(registry)
         .build(&mut mem, CounterSpec::new());
-    let mem = Arc::new(mem);
-    let t0 = Instant::now();
-    std::thread::scope(|s| {
-        for i in 0..threads {
-            let mem = Arc::clone(&mem);
-            let counter = counter.clone();
-            s.spawn(move || {
-                for _ in 0..COUNTER_OPS {
-                    counter.apply(&*mem, Pid(i), &CounterOp::Inc);
-                }
-            });
-        }
-    });
-    let tp = (threads * COUNTER_OPS) as f64 / t0.elapsed().as_secs_f64();
+    let tp = counter_arm(threads, COUNTER_OPS, &counter, &mem);
 
     mem.crash::<CellPayload<CounterSpec>>(&[Pid(0)]);
     mem.restart(Pid(0));
     let t1 = Instant::now();
-    counter.recover(&*mem, Pid(0));
+    counter.recover(&mem, Pid(0));
     let recover_us = t1.elapsed().as_secs_f64() * 1e6;
     (tp, recover_us)
 }
 
-/// Run the experiment, write `BENCH_e11.json`, and return the report.
-pub fn run() -> String {
-    let mut jam_rows = Vec::new();
-    let mut ctr_rows = Vec::new();
-    let mut json_rows = Vec::new();
-    let registry = sbu_obs::Registry::new(8);
-    for &threads in &[1usize, 2, 4, 8] {
-        let plain_jam = plain_jam_throughput(threads);
-        let (rec_jam, sweep_us) = recoverable_jam_throughput(threads);
-        jam_rows.push(vec![
-            threads.to_string(),
-            format!("{plain_jam:.0}"),
-            format!("{rec_jam:.0}"),
-            format!("{:.1}x", plain_jam / rec_jam),
-            format!("{sweep_us:.1}"),
-        ]);
+fn jam_table() -> Table<E11Row> {
+    Table::<E11Row>::new("E11a  durability tax, jam word: ops/sec (jam+read over fresh objects)")
+        .num("threads", "threads", 0, |r| r.threads as f64)
+        .num("plain JamWord", "jam_plain", 0, |r| r.jam_plain)
+        .num("RecoverableJamWord", "jam_recoverable", 0, |r| {
+            r.jam_recoverable
+        })
+        .text("slowdown", |r| {
+            format!("{:.1}x", r.jam_plain / r.jam_recoverable)
+        })
+        .num("recover µs/obj", "jam_recover_us_per_obj", 1, |r| {
+            r.jam_recover_us_per_obj
+        })
+}
 
-        let plain_ctr = plain_counter_throughput(threads, &registry);
-        let (rec_ctr, recover_us) = recoverable_counter_throughput(threads, &registry);
-        ctr_rows.push(vec![
-            threads.to_string(),
-            format!("{plain_ctr:.0}"),
-            format!("{rec_ctr:.0}"),
-            format!("{:.1}x", plain_ctr / rec_ctr),
-            format!("{recover_us:.1}"),
-        ]);
+fn counter_table() -> Table<E11Row> {
+    Table::<E11Row>::new("E11b  durability tax, bounded counter: ops/sec (universal Inc)")
+        .text("threads", |r| r.threads.to_string())
+        .num("NativeMem", "counter_plain", 0, |r| r.counter_plain)
+        .num("DurableMem", "counter_recoverable", 0, |r| {
+            r.counter_recoverable
+        })
+        .text("slowdown", |r| {
+            format!("{:.1}x", r.counter_plain / r.counter_recoverable)
+        })
+        .num("recover µs", "counter_recover_us", 1, |r| {
+            r.counter_recover_us
+        })
+}
 
-        json_rows.push(Json::obj(vec![
-            ("threads", Json::Num(threads as f64)),
-            ("jam_plain", Json::Num(plain_jam)),
-            ("jam_recoverable", Json::Num(rec_jam)),
-            ("jam_recover_us_per_obj", Json::Num(sweep_us)),
-            ("counter_plain", Json::Num(plain_ctr)),
-            ("counter_recoverable", Json::Num(rec_ctr)),
-            ("counter_recover_us", Json::Num(recover_us)),
-        ]));
-    }
-    let doc = Json::obj(vec![
+/// The `BENCH_e11.json` document (schema in EXPERIMENTS.md): one row
+/// object carries both tables' keyed columns.
+pub fn to_json(rows: &[E11Row]) -> Json {
+    Json::obj(vec![
         ("experiment", Json::Str("e11".into())),
         ("unit", Json::Str("ops_per_sec".into())),
-        ("rows", Json::Arr(json_rows)),
-    ]);
-    let mut out = render_table(
-        "E11a  durability tax, jam word: ops/sec (jam+read over fresh objects)",
-        &[
-            "threads",
-            "plain JamWord",
-            "RecoverableJamWord",
-            "slowdown",
-            "recover µs/obj",
-        ],
-        &jam_rows,
-    );
+        ("rows", json_rows(rows, &[&jam_table(), &counter_table()])),
+    ])
+}
+
+/// Run the experiment, write `BENCH_e11.json`, and return the report.
+pub fn run() -> String {
+    let registry = sbu_obs::Registry::new(8);
+    let rows: Vec<E11Row> = [1usize, 2, 4, 8]
+        .iter()
+        .map(|&threads| {
+            let jam_plain = plain_jam_throughput(threads);
+            let (jam_recoverable, jam_recover_us_per_obj) = recoverable_jam_throughput(threads);
+            let counter_plain = bounded_arm(
+                threads,
+                COUNTER_OPS,
+                UniversalConfig::for_procs(threads),
+                &registry,
+            );
+            let (counter_recoverable, counter_recover_us) =
+                recoverable_counter_throughput(threads, &registry);
+            E11Row {
+                threads,
+                jam_plain,
+                jam_recoverable,
+                jam_recover_us_per_obj,
+                counter_plain,
+                counter_recoverable,
+                counter_recover_us,
+            }
+        })
+        .collect();
+    let mut out = jam_table().render(&rows);
     out.push('\n');
-    out.push_str(&render_table(
-        "E11b  durability tax, bounded counter: ops/sec (universal Inc)",
-        &[
-            "threads",
-            "NativeMem",
-            "DurableMem",
-            "slowdown",
-            "recover µs",
-        ],
-        &ctr_rows,
-    ));
+    out.push_str(&counter_table().render(&rows));
     let metrics = registry.snapshot();
     if !metrics.is_empty() {
         out.push('\n');
         out.push_str(&metrics.render_table("E11  counter-arm instruments (all sweeps)"));
     }
-    match std::fs::write("BENCH_e11.json", doc.render()) {
-        Ok(()) => out.push_str("wrote BENCH_e11.json\n"),
-        Err(e) => out.push_str(&format!("could not write BENCH_e11.json: {e}\n")),
-    }
-    out.push_str(&write_obs_artifact("e11", &metrics));
+    out.push_str(&write_artifacts("e11", Some(&to_json(&rows)), &metrics));
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn json_document_has_the_documented_shape() {
+        let rows = [E11Row {
+            threads: 2,
+            jam_plain: 100.0,
+            jam_recoverable: 20.0,
+            jam_recover_us_per_obj: 0.5,
+            counter_plain: 300.0,
+            counter_recoverable: 290.0,
+            counter_recover_us: 4.5,
+        }];
+        let doc = to_json(&rows);
+        assert_eq!(doc.get("experiment").unwrap().as_str(), Some("e11"));
+        assert_eq!(doc.get("unit").unwrap().as_str(), Some("ops_per_sec"));
+        let row = &doc.get("rows").unwrap().as_arr().unwrap()[0];
+        for (key, value) in [
+            ("threads", 2.0),
+            ("jam_plain", 100.0),
+            ("jam_recoverable", 20.0),
+            ("jam_recover_us_per_obj", 0.5),
+            ("counter_plain", 300.0),
+            ("counter_recoverable", 290.0),
+            ("counter_recover_us", 4.5),
+        ] {
+            assert_eq!(row.get(key).unwrap().as_num(), Some(value), "{key}");
+        }
+        // And it survives a round trip through the parser.
+        assert_eq!(Json::parse(&doc.render()).unwrap(), doc);
+    }
 }

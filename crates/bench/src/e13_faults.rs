@@ -29,7 +29,7 @@
 //! see [`exit_class`]. Artifacts: `BENCH_e13.json` and, under `obs`,
 //! `OBS_e13.json` (schemas in EXPERIMENTS.md).
 
-use crate::{render_table, write_obs_artifact};
+use crate::{json_rows, obs_document, write_artifacts, Table};
 use sbu_obs::Json;
 use sbu_obs::Snapshot;
 use sbu_service::loadgen::{self, LoadgenConfig, LoadgenReport, LoopMode, Skew};
@@ -165,17 +165,69 @@ fn row_from(drop_pct: u64, clients: usize, report: &LoadgenReport) -> E13Row {
     }
 }
 
-/// Run the full sweep; `metrics` accumulates every cell's instruments.
-pub fn measure(metrics: &mut Snapshot) -> Vec<E13Row> {
+/// Sweep [`DROP_PCT`] at `clients` × `ops` requests; `metrics`
+/// accumulates every cell's instruments.
+fn sweep(
+    clients: usize,
+    ops: usize,
+    seed: u64,
+    timing: bool,
+    metrics: &mut Snapshot,
+) -> Vec<E13Row> {
     DROP_PCT
         .iter()
         .map(|&drop_pct| {
-            let config = cell_config(drop_pct, CLIENTS, OPS_PER_CLIENT, 0xE13, true);
+            let config = cell_config(drop_pct, clients, ops, seed, timing);
             let report = loadgen::run(&config, CounterSpec::new(), |_| CounterOp::Inc);
             metrics.merge(&report.metrics);
-            row_from(drop_pct, CLIENTS, &report)
+            row_from(drop_pct, clients, &report)
         })
         .collect()
+}
+
+fn exit_label(exit: ExitStatus) -> String {
+    format!("{exit:?}").to_lowercase()
+}
+
+fn table() -> Table<E13Row> {
+    Table::<E13Row>::new(
+        "E13  goodput and retry amplification vs drop rate (closed loop, inc-only, dup 5%)",
+    )
+    .col(
+        "drop",
+        "drop_pct",
+        |r| format!("{}%", r.drop_pct),
+        |r| Json::Num(r.drop_pct as f64),
+    )
+    .json("clients", |r| Json::Num(r.clients as f64))
+    .num("ops", "ops", 0, |r| r.ops as f64)
+    .num("goodput", "goodput", 0, |r| r.goodput)
+    .num("retries", "retries", 0, |r| r.retries as f64)
+    .num("dropped", "drops_injected", 0, |r| r.drops_injected as f64)
+    .col(
+        "amplif",
+        "amplification",
+        |r| format!("{:.3}×", r.amplification),
+        |r| Json::Num(r.amplification),
+    )
+    .num("fail", "failures", 0, |r| r.failures as f64)
+    .json("busy", |r| Json::Num(r.busy as f64))
+    .json("unavailable", |r| Json::Num(r.unavailable as f64))
+    .json("shard_ops", |r| {
+        Json::Arr(r.shard_ops.iter().map(|&o| Json::Num(o as f64)).collect())
+    })
+    .col(
+        "exact",
+        "exact",
+        |r| if r.exact { "yes" } else { "NO" }.into(),
+        |r| Json::Bool(r.exact),
+    )
+    .col(
+        "exit",
+        "exit",
+        |r| exit_label(r.exit),
+        |r| Json::Str(exit_label(r.exit)),
+    )
 }
 
 /// The `BENCH_e13.json` document (schema in EXPERIMENTS.md).
@@ -187,62 +239,8 @@ pub fn to_json(rows: &[E13Row], ops_per_client: usize) -> Json {
         ("ops_per_client", Json::Num(ops_per_client as f64)),
         ("mode", Json::Str("closed".into())),
         ("duplicate", Json::Num(0.05)),
-        (
-            "rows",
-            Json::Arr(
-                rows.iter()
-                    .map(|r| {
-                        Json::obj(vec![
-                            ("drop_pct", Json::Num(r.drop_pct as f64)),
-                            ("clients", Json::Num(r.clients as f64)),
-                            ("ops", Json::Num(r.ops as f64)),
-                            ("failures", Json::Num(r.failures as f64)),
-                            ("busy", Json::Num(r.busy as f64)),
-                            ("unavailable", Json::Num(r.unavailable as f64)),
-                            ("retries", Json::Num(r.retries as f64)),
-                            ("drops_injected", Json::Num(r.drops_injected as f64)),
-                            ("amplification", Json::Num(r.amplification)),
-                            ("goodput", Json::Num(r.goodput)),
-                            (
-                                "shard_ops",
-                                Json::Arr(
-                                    r.shard_ops.iter().map(|&o| Json::Num(o as f64)).collect(),
-                                ),
-                            ),
-                            ("exact", Json::Bool(r.exact)),
-                            ("exit", Json::Str(format!("{:?}", r.exit).to_lowercase())),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
+        ("rows", json_rows(rows, &[&table()])),
     ])
-}
-
-fn render(rows: &[E13Row]) -> String {
-    let table_rows: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                format!("{}%", r.drop_pct),
-                r.ops.to_string(),
-                format!("{:.0}", r.goodput),
-                r.retries.to_string(),
-                r.drops_injected.to_string(),
-                format!("{:.3}×", r.amplification),
-                r.failures.to_string(),
-                if r.exact { "yes".into() } else { "NO".into() },
-                format!("{:?}", r.exit).to_lowercase(),
-            ]
-        })
-        .collect();
-    render_table(
-        "E13  goodput and retry amplification vs drop rate (closed loop, inc-only, dup 5%)",
-        &[
-            "drop", "ops", "goodput", "retries", "dropped", "amplif", "fail", "exact", "exit",
-        ],
-        &table_rows,
-    )
 }
 
 /// Run the sweep, write `BENCH_e13.json` (+ `OBS_e13.json` under `obs`),
@@ -250,18 +248,17 @@ fn render(rows: &[E13Row]) -> String {
 /// failures, and under obs the 20% cell actually dropped frames, amplified
 /// more than the 0% cell, and no cell amplified past its analytic floor
 /// plus [`AMPLIFICATION_MARGIN`]. `Err` carries the report on failure.
-pub fn run_checked() -> Result<String, String> {
+pub fn run() -> Result<String, String> {
     let mut metrics = Snapshot::default();
-    let rows = measure(&mut metrics);
+    let rows = sweep(CLIENTS, OPS_PER_CLIENT, 0xE13, true, &mut metrics);
 
-    let json = to_json(&rows, OPS_PER_CLIENT).render();
-    let mut report = render(&rows);
+    let mut report = table().render(&rows);
     report.push_str(&metrics.render_table("E13  service instruments (all cells)"));
-    match std::fs::write("BENCH_e13.json", &json) {
-        Ok(()) => report.push_str("wrote BENCH_e13.json\n"),
-        Err(e) => report.push_str(&format!("could not write BENCH_e13.json: {e}\n")),
-    }
-    report.push_str(&write_obs_artifact("e13", &metrics));
+    report.push_str(&write_artifacts(
+        "e13",
+        Some(&to_json(&rows, OPS_PER_CLIENT)),
+        &metrics,
+    ));
 
     let mut ok = true;
     for r in &rows {
@@ -341,7 +338,7 @@ pub fn run_smoke() -> Result<String, String> {
          {} retries, {:.3}× amplification, exact={}\n",
         row.ops, row.failures, row.retries, row.amplification, row.exact
     );
-    out.push_str(&write_obs_artifact("e13", &report.metrics));
+    out.push_str(&write_artifacts("e13", None, &report.metrics));
     if !row.exact || row.exit != ExitStatus::Clean {
         return Err(out + "FAIL: lossy smoke lost or double-applied an acked op\n");
     }
@@ -368,15 +365,7 @@ pub const DETERMINISTIC_OPS: usize = 100;
 /// and dedup hits are all pure functions of the seed at one client).
 pub fn deterministic_docs(seed: u64) -> (String, String) {
     let mut metrics = Snapshot::default();
-    let rows: Vec<E13Row> = DROP_PCT
-        .iter()
-        .map(|&drop_pct| {
-            let config = cell_config(drop_pct, 1, DETERMINISTIC_OPS, seed, false);
-            let report = loadgen::run(&config, CounterSpec::new(), |_| CounterOp::Inc);
-            metrics.merge(&report.metrics);
-            row_from(drop_pct, 1, &report)
-        })
-        .collect();
+    let rows = sweep(1, DETERMINISTIC_OPS, seed, false, &mut metrics);
     let bench = to_json(&rows, DETERMINISTIC_OPS).render();
     // Mailbox depth is sampled at drain time, so it observes thread
     // interleaving — whether the worker wakes before or after a duplicated
@@ -384,12 +373,7 @@ pub fn deterministic_docs(seed: u64) -> (String, String) {
     metrics
         .histograms
         .retain(|(name, _)| name != "service.queue_depth");
-    let obs = Json::obj(vec![
-        ("experiment", Json::Str("e13".into())),
-        ("metrics", metrics.to_json()),
-    ])
-    .render();
-    (bench, obs)
+    (bench, obs_document("e13", &metrics).render())
 }
 
 #[cfg(test)]

@@ -20,14 +20,12 @@
 //! 4 threads, batched throughput must not lose to per-command, and under
 //! obs the `core.batch_size` histogram must have recorded real batches.
 
-use crate::{render_table, write_obs_artifact};
-use sbu_core::{bounded::UniversalConfig, CellPayload, SpinLockUniversal, Universal};
+use crate::e8_throughput::{bounded_arm, spin_lock_arm};
+use crate::{json_rows, ops_per_sec, write_artifacts, Table};
+use sbu_core::{bounded::UniversalConfig, CellPayload, Universal};
 use sbu_mem::native::NativeMem;
-use sbu_mem::Pid;
 use sbu_obs::Json;
 use sbu_spec::specs::{CounterOp, CounterSpec};
-use std::sync::Arc;
-use std::time::Instant;
 
 /// Commands issued per thread in every arm.
 pub const OPS_PER_THREAD: usize = 2_000;
@@ -58,27 +56,9 @@ impl E14Row {
     }
 }
 
+/// E8's bounded arm: the per-command construction, default config.
 fn per_command_throughput(threads: usize, ops: usize, registry: &sbu_obs::Registry) -> f64 {
-    let mut mem: NativeMem<CellPayload<CounterSpec>> = NativeMem::new();
-    mem.attach_obs(registry);
-    let obj = Universal::builder(threads)
-        .config(UniversalConfig::for_procs(threads))
-        .obs(registry)
-        .build(&mut mem, CounterSpec::new());
-    let mem = Arc::new(mem);
-    let t0 = Instant::now();
-    std::thread::scope(|s| {
-        for i in 0..threads {
-            let mem = Arc::clone(&mem);
-            let obj = obj.clone();
-            s.spawn(move || {
-                for _ in 0..ops {
-                    obj.apply(&*mem, Pid(i), &CounterOp::Inc);
-                }
-            });
-        }
-    });
-    (threads * ops) as f64 / t0.elapsed().as_secs_f64()
+    bounded_arm(threads, ops, UniversalConfig::for_procs(threads), registry)
 }
 
 fn batched_throughput(threads: usize, ops: usize, cap: usize, registry: &sbu_obs::Registry) -> f64 {
@@ -88,9 +68,17 @@ fn batched_throughput(threads: usize, ops: usize, cap: usize, registry: &sbu_obs
     batched_throughput_with(threads, ops, cap, config, registry)
 }
 
-/// `batched_throughput` with an explicit [`UniversalConfig`] (which must
-/// have `group_commit` on and a batch cap of `cap`) — the seam E10's
-/// batched backoff sweep drives to re-tune the jam backoff cap under
+/// The best group-commit arm over [`CAPS`].
+fn best_batched_throughput(threads: usize, registry: &sbu_obs::Registry) -> f64 {
+    CAPS.iter()
+        .map(|&cap| batched_throughput(threads, OPS_PER_THREAD, cap, registry))
+        .fold(0.0, f64::max)
+}
+
+/// Commands/sec of `threads` threads each submitting `ops` increments as
+/// `cap`-command [`Universal::apply_batch`] blocks, under `config` (which
+/// must have `group_commit` on and a batch cap of `cap`) — also the seam
+/// E10's batched backoff sweep drives to re-tune the jam backoff cap under
 /// group commit.
 pub fn batched_throughput_with(
     threads: usize,
@@ -105,43 +93,15 @@ pub fn batched_throughput_with(
         .config(config)
         .obs(registry)
         .build(&mut mem, CounterSpec::new());
-    let mem = Arc::new(mem);
     let block = vec![CounterOp::Inc; cap];
-    let t0 = Instant::now();
-    std::thread::scope(|s| {
-        for i in 0..threads {
-            let mem = Arc::clone(&mem);
-            let obj = obj.clone();
-            let block = &block;
-            s.spawn(move || {
-                let mut done = 0;
-                while done < ops {
-                    let take = cap.min(ops - done);
-                    obj.apply_batch(&*mem, Pid(i), &block[..take]);
-                    done += take;
-                }
-            });
+    ops_per_sec(threads, ops, |pid| {
+        let mut done = 0;
+        while done < ops {
+            let take = cap.min(ops - done);
+            obj.apply_batch(&mem, pid, &block[..take]);
+            done += take;
         }
-    });
-    (threads * ops) as f64 / t0.elapsed().as_secs_f64()
-}
-
-fn spin_lock_throughput(threads: usize, ops: usize) -> f64 {
-    let mut mem: NativeMem<CellPayload<CounterSpec>> = NativeMem::new();
-    let obj = SpinLockUniversal::new(&mut mem, CounterSpec::new());
-    let mem = Arc::new(mem);
-    let t0 = Instant::now();
-    std::thread::scope(|s| {
-        for i in 0..threads {
-            let mem = Arc::clone(&mem);
-            s.spawn(move || {
-                for _ in 0..ops {
-                    sbu_core::UniversalObject::apply(&obj, &*mem, Pid(i), &CounterOp::Inc);
-                }
-            });
-        }
-    });
-    (threads * ops) as f64 / t0.elapsed().as_secs_f64()
+    })
 }
 
 /// Measure every arm at every thread count, attaching the bounded arms'
@@ -161,9 +121,43 @@ pub fn measure_with(registry: &sbu_obs::Registry) -> Vec<E14Row> {
                     )
                 })
                 .collect(),
-            spin_lock: spin_lock_throughput(threads, OPS_PER_THREAD),
+            spin_lock: spin_lock_arm(threads, OPS_PER_THREAD),
         })
         .collect()
+}
+
+fn table() -> Table<E14Row> {
+    let mut table = Table::<E14Row>::new(
+        "E14  group-commit batch apply, commands/sec (counter; release build recommended)",
+    )
+    .num("threads", "threads", 0, |r| r.threads as f64)
+    .num("per-command", "per_command", 0, |r| r.per_command)
+    .json("batched", |r| {
+        Json::Arr(
+            r.batched
+                .iter()
+                .map(|&(cap, tp)| {
+                    Json::obj(vec![
+                        ("cap", Json::Num(cap as f64)),
+                        ("commands_per_sec", Json::Num(tp)),
+                    ])
+                })
+                .collect(),
+        )
+    });
+    for (i, cap) in CAPS.iter().enumerate() {
+        table = table.text(format!("batched cap={cap}"), move |r| {
+            format!("{:.0}", r.batched[i].1)
+        });
+    }
+    table
+        .text("best speedup", |r| {
+            format!("{:.2}×", r.best_batched() / r.per_command)
+        })
+        .num("spin lock", "spin_lock", 0, |r| r.spin_lock)
+        .text("best/lock", |r| {
+            format!("{:.2}", r.best_batched() / r.spin_lock)
+        })
 }
 
 /// The `BENCH_e14.json` document (schema: EXPERIMENTS.md).
@@ -173,66 +167,8 @@ pub fn to_json(rows: &[E14Row]) -> Json {
         ("object", Json::Str("counter".into())),
         ("unit", Json::Str("commands_per_sec".into())),
         ("ops_per_thread", Json::Num(OPS_PER_THREAD as f64)),
-        (
-            "rows",
-            Json::Arr(
-                rows.iter()
-                    .map(|r| {
-                        Json::obj(vec![
-                            ("threads", Json::Num(r.threads as f64)),
-                            ("per_command", Json::Num(r.per_command)),
-                            (
-                                "batched",
-                                Json::Arr(
-                                    r.batched
-                                        .iter()
-                                        .map(|&(cap, tp)| {
-                                            Json::obj(vec![
-                                                ("cap", Json::Num(cap as f64)),
-                                                ("commands_per_sec", Json::Num(tp)),
-                                            ])
-                                        })
-                                        .collect(),
-                                ),
-                            ),
-                            ("spin_lock", Json::Num(r.spin_lock)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
+        ("rows", json_rows(rows, &[&table()])),
     ])
-}
-
-fn render(rows: &[E14Row]) -> String {
-    let table_rows: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            let best = r.best_batched();
-            let mut cells = vec![r.threads.to_string(), format!("{:.0}", r.per_command)];
-            for &(_, tp) in &r.batched {
-                cells.push(format!("{tp:.0}"));
-            }
-            cells.push(format!("{:.2}×", best / r.per_command));
-            cells.push(format!("{:.0}", r.spin_lock));
-            cells.push(format!("{:.2}", best / r.spin_lock));
-            cells
-        })
-        .collect();
-    render_table(
-        "E14  group-commit batch apply, commands/sec (counter; release build recommended)",
-        &[
-            "threads",
-            "per-command",
-            "batched cap=2",
-            "batched cap=4",
-            "batched cap=8",
-            "best speedup",
-            "spin lock",
-            "best/lock",
-        ],
-        &table_rows,
-    )
 }
 
 /// Run the sweep, write `BENCH_e14.json` (+ `OBS_e14.json` under obs), and
@@ -240,14 +176,10 @@ fn render(rows: &[E14Row]) -> String {
 pub fn run() -> String {
     let registry = sbu_obs::Registry::new(*THREADS.iter().max().expect("non-empty sweep"));
     let rows = measure_with(&registry);
-    let mut report = render(&rows);
+    let mut report = table().render(&rows);
     let metrics = registry.snapshot();
     report.push_str(&metrics.render_table("E14  bounded-arm instruments (all sweeps)"));
-    match std::fs::write("BENCH_e14.json", to_json(&rows).render()) {
-        Ok(()) => report.push_str("wrote BENCH_e14.json\n"),
-        Err(e) => report.push_str(&format!("could not write BENCH_e14.json: {e}\n")),
-    }
-    report.push_str(&write_obs_artifact("e14", &metrics));
+    report.push_str(&write_artifacts("e14", Some(&to_json(&rows)), &metrics));
     report
 }
 
@@ -261,10 +193,7 @@ pub fn run_smoke() -> Result<String, String> {
     const SMOKE_THREADS: usize = 4;
     let registry = sbu_obs::Registry::new(SMOKE_THREADS);
     let per_command = per_command_throughput(SMOKE_THREADS, OPS_PER_THREAD, &registry);
-    let mut batched = CAPS
-        .iter()
-        .map(|&cap| batched_throughput(SMOKE_THREADS, OPS_PER_THREAD, cap, &registry))
-        .fold(0.0, f64::max);
+    let mut batched = best_batched_throughput(SMOKE_THREADS, &registry);
     let mut report = format!(
         "E14 smoke @{SMOKE_THREADS} threads: per-command {per_command:.0} \
          commands/sec, batched (best cap) {batched:.0} commands/sec ({:.2}×)\n",
@@ -274,10 +203,7 @@ pub fn run_smoke() -> Result<String, String> {
         if batched >= per_command {
             break;
         }
-        let fresh = CAPS
-            .iter()
-            .map(|&cap| batched_throughput(SMOKE_THREADS, OPS_PER_THREAD, cap, &registry))
-            .fold(0.0, f64::max);
+        let fresh = best_batched_throughput(SMOKE_THREADS, &registry);
         report.push_str(&format!(
             "retry {}: batched {fresh:.0} commands/sec\n",
             attempt + 1
@@ -285,7 +211,7 @@ pub fn run_smoke() -> Result<String, String> {
         batched = batched.max(fresh);
     }
     let metrics = registry.snapshot();
-    report.push_str(&write_obs_artifact("e14", &metrics));
+    report.push_str(&write_artifacts("e14", None, &metrics));
     if cfg!(feature = "obs") {
         let sizes = metrics
             .histogram("core.batch_size")
@@ -309,6 +235,8 @@ pub fn run_smoke() -> Result<String, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sbu_mem::Pid;
+    use std::sync::Arc;
 
     #[test]
     fn json_document_has_the_documented_shape() {

@@ -21,8 +21,8 @@
 //! arm — a small Unix-socket cell that must show live `service.accept`
 //! activity and hold exactly-once.
 
-use crate::{render_table, write_obs_artifact};
-use sbu_obs::Json;
+use crate::{json_rows, write_artifacts, Table};
+use sbu_obs::{Json, Snapshot};
 use sbu_service::loadgen::{self, LoadgenConfig, LoadgenReport};
 use sbu_service::{FaultProfile, TransportConfig};
 use sbu_spec::specs::{CounterOp, CounterSpec};
@@ -82,16 +82,17 @@ pub fn tcp_available() -> bool {
     std::net::TcpListener::bind("127.0.0.1:0").is_ok()
 }
 
-fn leg_config(transport: TransportConfig, ops: usize, seed: u64, timing: bool) -> LoadgenConfig {
+fn leg_config(transport: TransportConfig, fault: Option<FaultProfile>) -> LoadgenConfig {
     LoadgenConfig {
         clients: CLIENTS,
         shards: 4,
         workers: 2,
-        ops_per_client: ops,
+        ops_per_client: OPS_PER_CLIENT,
         keys: 256,
         transport,
-        seed,
-        timing,
+        seed: 0xE15,
+        timing: true,
+        fault,
         ..Default::default()
     }
 }
@@ -119,52 +120,66 @@ fn row_from(transport: &str, report: &LoadgenReport) -> E15Row {
     }
 }
 
-fn run_leg(label: &str, transport: TransportConfig, fault: Option<FaultProfile>) -> E15Row {
-    let unix_path = match &transport {
-        TransportConfig::Unix(path) => Some(path.clone()),
-        _ => None,
-    };
-    let mut config = leg_config(transport, OPS_PER_CLIENT, 0xE15, true);
-    config.fault = fault;
-    let report = loadgen::run(&config, CounterSpec::new(), |_| CounterOp::Inc);
-    if let Some(path) = unix_path {
+/// Run one leg (removing its socket file after); returns its row and
+/// instruments.
+fn run_leg(label: &str, config: &LoadgenConfig) -> (E15Row, Snapshot) {
+    let report = loadgen::run(config, CounterSpec::new(), |_| CounterOp::Inc);
+    if let TransportConfig::Unix(path) = &config.transport {
         let _ = std::fs::remove_file(path);
     }
-    row_from(label, &report)
+    (row_from(label, &report), report.metrics)
 }
 
 /// Run every leg; `metrics` receives the honest Unix leg's instruments
 /// (the `OBS_e15.json` payload). The TCP leg is omitted (with a note in
 /// the report, handled by the caller) when loopback TCP is unavailable.
-pub fn measure(metrics: &mut sbu_obs::Snapshot) -> Vec<E15Row> {
-    let mut rows = vec![run_leg("in-process", TransportConfig::InProcess, None)];
-
-    let unix_path = scratch_socket("bench");
-    let config = leg_config(
-        TransportConfig::Unix(unix_path.clone()),
-        OPS_PER_CLIENT,
-        0xE15,
-        true,
-    );
-    let report = loadgen::run(&config, CounterSpec::new(), |_| CounterOp::Inc);
-    let _ = std::fs::remove_file(&unix_path);
-    metrics.merge(&report.metrics);
-    rows.push(row_from("unix", &report));
-
+pub fn measure(metrics: &mut Snapshot) -> Vec<E15Row> {
+    let (in_process, _) = run_leg("in-process", &leg_config(TransportConfig::InProcess, None));
+    let unix = TransportConfig::Unix(scratch_socket("bench"));
+    let (unix, unix_metrics) = run_leg("unix", &leg_config(unix, None));
+    metrics.merge(&unix_metrics);
+    let mut rows = vec![in_process, unix];
     if tcp_available() {
-        rows.push(run_leg(
-            "tcp",
-            TransportConfig::Tcp("127.0.0.1:0".into()),
-            None,
-        ));
+        let tcp = TransportConfig::Tcp("127.0.0.1:0".into());
+        rows.push(run_leg("tcp", &leg_config(tcp, None)).0);
     }
-
-    rows.push(run_leg(
-        "unix+lossy",
-        TransportConfig::Unix(scratch_socket("lossy")),
-        Some(FaultProfile::lossy()),
-    ));
+    let lossy = TransportConfig::Unix(scratch_socket("lossy"));
+    rows.push(
+        run_leg(
+            "unix+lossy",
+            &leg_config(lossy, Some(FaultProfile::lossy())),
+        )
+        .0,
+    );
     rows
+}
+
+fn table() -> Table<E15Row> {
+    Table::<E15Row>::new(
+        "E15  transport tax: matched closed-loop counter over each byte plane (release build recommended)",
+    )
+    .col(
+        "transport",
+        "transport",
+        |r| r.transport.clone(),
+        |r| Json::Str(r.transport.clone()),
+    )
+    .json("ops", |r| Json::Num(r.ops as f64))
+    .num("acked", "acked", 0, |r| r.acked as f64)
+    .num("ops/sec", "ops_per_sec", 0, |r| r.ops_per_sec)
+    .num("accepts", "accepts", 0, |r| r.accepts as f64)
+    .json("conn_drops", |r| Json::Num(r.conn_drops as f64))
+    .num("reads", "read_syscalls", 0, |r| r.read_syscalls as f64)
+    .num("reads/op", "syscall_tax", 2, |r| r.syscall_tax)
+    .num("partial", "partial_frames", 0, |r| r.partial_frames as f64)
+    .num("retries", "retries", 0, |r| r.retries as f64)
+    .num("fail", "failures", 0, |r| r.failures as f64)
+    .col(
+        "exact",
+        "exact",
+        |r| if r.exact { "yes" } else { "NO" }.into(),
+        |r| Json::Bool(r.exact),
+    )
 }
 
 /// The `BENCH_e15.json` document (schema in EXPERIMENTS.md).
@@ -176,107 +191,32 @@ pub fn to_json(rows: &[E15Row]) -> Json {
         ("ops_per_client", Json::Num(OPS_PER_CLIENT as f64)),
         ("clients", Json::Num(CLIENTS as f64)),
         ("mode", Json::Str("closed".into())),
-        (
-            "rows",
-            Json::Arr(
-                rows.iter()
-                    .map(|r| {
-                        Json::obj(vec![
-                            ("transport", Json::Str(r.transport.clone())),
-                            ("ops", Json::Num(r.ops as f64)),
-                            ("acked", Json::Num(r.acked as f64)),
-                            ("failures", Json::Num(r.failures as f64)),
-                            ("ops_per_sec", Json::Num(r.ops_per_sec)),
-                            ("accepts", Json::Num(r.accepts as f64)),
-                            ("conn_drops", Json::Num(r.conn_drops as f64)),
-                            ("read_syscalls", Json::Num(r.read_syscalls as f64)),
-                            ("partial_frames", Json::Num(r.partial_frames as f64)),
-                            ("retries", Json::Num(r.retries as f64)),
-                            ("syscall_tax", Json::Num(r.syscall_tax)),
-                            ("exact", Json::Bool(r.exact)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
+        ("rows", json_rows(rows, &[&table()])),
     ])
 }
 
-fn render(rows: &[E15Row]) -> String {
-    let table_rows: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.transport.clone(),
-                r.acked.to_string(),
-                format!("{:.0}", r.ops_per_sec),
-                r.accepts.to_string(),
-                r.read_syscalls.to_string(),
-                format!("{:.2}", r.syscall_tax),
-                r.partial_frames.to_string(),
-                r.retries.to_string(),
-                r.failures.to_string(),
-                if r.exact { "yes".into() } else { "NO".into() },
-            ]
-        })
-        .collect();
-    render_table(
-        "E15  transport tax: matched closed-loop counter over each byte plane (release build recommended)",
-        &[
-            "transport",
-            "acked",
-            "ops/sec",
-            "accepts",
-            "reads",
-            "reads/op",
-            "partial",
-            "retries",
-            "fail",
-            "exact",
-        ],
-        &table_rows,
-    )
-}
-
-/// Run the sweep, write `BENCH_e15.json` (+ `OBS_e15.json` under `obs`),
-/// and verify the acceptance claims: every leg exactly-once, and — under
-/// obs — the socket legs saw one accept per client and real `read(2)`
-/// traffic while the in-process leg saw none. `Err` carries the report.
-pub fn run_checked() -> Result<String, String> {
-    let mut metrics = sbu_obs::Snapshot::default();
-    let rows = measure(&mut metrics);
-
-    let mut report = render(&rows);
-    if !tcp_available() {
-        report.push_str("note: TCP loopback unavailable in this environment; tcp leg skipped\n");
-    }
-    report.push_str(&metrics.render_table("E15  service instruments (honest unix leg)"));
-    match std::fs::write("BENCH_e15.json", to_json(&rows).render()) {
-        Ok(()) => report.push_str("wrote BENCH_e15.json\n"),
-        Err(e) => report.push_str(&format!("could not write BENCH_e15.json: {e}\n")),
-    }
-    report.push_str(&write_obs_artifact("e15", &metrics));
-
-    let mut ok = true;
-    for r in &rows {
+/// The acceptance claims over finished legs: every leg exactly-once, and
+/// — under obs — the socket legs saw one accept per client and real
+/// `read(2)` traffic while the in-process leg saw none. `Ok` holds the
+/// summary line; `Err` each failure, then the summary.
+pub(crate) fn check(rows: &[E15Row]) -> Result<String, String> {
+    let mut failures = String::new();
+    for r in rows {
         if !r.exact {
-            ok = false;
-            report.push_str(&format!("FAIL: {} leg not exactly-once\n", r.transport));
+            failures.push_str(&format!("FAIL: {} leg not exactly-once\n", r.transport));
         }
     }
     if cfg!(feature = "obs") {
-        for r in &rows {
+        for r in rows {
             let socket = r.transport != "in-process";
             if socket && (r.accepts < CLIENTS as u64 || r.read_syscalls == 0) {
-                ok = false;
-                report.push_str(&format!(
+                failures.push_str(&format!(
                     "FAIL: {} leg shows no live socket traffic ({} accepts, {} reads)\n",
                     r.transport, r.accepts, r.read_syscalls
                 ));
             }
             if !socket && r.read_syscalls != 0 {
-                ok = false;
-                report.push_str("FAIL: in-process leg recorded read syscalls\n");
+                failures.push_str("FAIL: in-process leg recorded read syscalls\n");
             }
         }
     }
@@ -284,25 +224,34 @@ pub fn run_checked() -> Result<String, String> {
         .iter()
         .map(|r| format!("{} {:.2}", r.transport, r.syscall_tax))
         .collect();
-    report.push_str(&format!(
+    let summary = format!(
         "acceptance: {}/{} legs exactly-once; reads per acked op: {}\n",
         rows.iter().filter(|r| r.exact).count(),
         rows.len(),
         tax.join(", ")
-    ));
-    if ok {
-        Ok(report)
+    );
+    if failures.is_empty() {
+        Ok(summary)
     } else {
-        Err(report)
+        Err(failures + &summary)
     }
 }
 
-/// Run the experiment without failing the process on the acceptance check
-/// (interactive `exp e15`).
-pub fn run() -> String {
-    match run_checked() {
-        Ok(report) => report,
-        Err(report) => report + "WARNING: acceptance check failed on this machine\n",
+/// Run the sweep, write `BENCH_e15.json` (+ `OBS_e15.json` under `obs`),
+/// and gate on `check`. `Err` carries the report.
+pub fn run() -> Result<String, String> {
+    let mut metrics = Snapshot::default();
+    let rows = measure(&mut metrics);
+
+    let mut report = table().render(&rows);
+    if !tcp_available() {
+        report.push_str("note: TCP loopback unavailable in this environment; tcp leg skipped\n");
+    }
+    report.push_str(&metrics.render_table("E15  service instruments (honest unix leg)"));
+    report.push_str(&write_artifacts("e15", Some(&to_json(&rows)), &metrics));
+    match check(&rows) {
+        Ok(summary) => Ok(report + &summary),
+        Err(failures) => Err(report + &failures),
     }
 }
 
@@ -311,14 +260,16 @@ pub fn run() -> String {
 /// live accept per client plus retransmissions actually doing work.
 /// Writes `OBS_e15.json` under obs. `Err` carries the report on failure.
 pub fn run_smoke() -> Result<String, String> {
-    let path = scratch_socket("smoke");
-    let mut config = leg_config(TransportConfig::Unix(path.clone()), 200, 0xE15, true);
-    config.clients = 2;
-    config.keys = 64;
-    config.fault = Some(FaultProfile::lossy());
-    let report = loadgen::run(&config, CounterSpec::new(), |_| CounterOp::Inc);
-    let _ = std::fs::remove_file(&path);
-    let row = row_from("unix+lossy", &report);
+    let config = LoadgenConfig {
+        clients: 2,
+        ops_per_client: 200,
+        keys: 64,
+        ..leg_config(
+            TransportConfig::Unix(scratch_socket("smoke")),
+            Some(FaultProfile::lossy()),
+        )
+    };
+    let (row, metrics) = run_leg("unix+lossy", &config);
     let mut out = format!(
         "E15 smoke @2 clients over unix socket, full lossy profile: {} acked, \
          {} failures, {} accepts, {} reads ({:.2}/op), {} retries, exact={}\n",
@@ -330,7 +281,7 @@ pub fn run_smoke() -> Result<String, String> {
         row.retries,
         row.exact
     );
-    out.push_str(&write_obs_artifact("e15", &report.metrics));
+    out.push_str(&write_artifacts("e15", None, &metrics));
     if !row.exact {
         return Err(out + "FAIL: lossy socket smoke lost or double-applied an acked op\n");
     }
@@ -378,6 +329,32 @@ mod tests {
             assert!(doc.contains(needle), "missing {needle} in {doc}");
         }
         assert_eq!(Json::parse(&doc).unwrap(), to_json(&rows));
+    }
+
+    #[test]
+    fn check_fails_a_leg_that_is_not_exactly_once() {
+        let leg = |transport: &str, exact| E15Row {
+            transport: transport.into(),
+            ops: 8000,
+            acked: 8000,
+            failures: 0,
+            ops_per_sec: 1.0,
+            accepts: CLIENTS as u64,
+            conn_drops: 0,
+            read_syscalls: if transport == "in-process" { 0 } else { 8000 },
+            partial_frames: 0,
+            retries: 0,
+            syscall_tax: 1.0,
+            exact,
+        };
+        assert!(check(&[leg("in-process", true), leg("unix", true)]).is_ok());
+        let verdict = check(&[leg("in-process", true), leg("unix+lossy", false)]);
+        let failures = verdict.expect_err("a lost or double-applied op must fail E15");
+        assert!(
+            failures.contains("FAIL: unix+lossy leg not exactly-once"),
+            "{failures}"
+        );
+        assert!(failures.contains("1/2 legs exactly-once"), "{failures}");
     }
 
     #[test]

@@ -8,21 +8,19 @@
 //! with scans; the point is progress guarantees, not raw speed.
 //!
 //! Besides the rendered table, `run` writes `BENCH_e8.json` (schema in
-//! EXPERIMENTS.md) so the perf trajectory is trackable across changes, and
-//! `run_checked` compares a fresh run against a checked-in baseline —
-//! that's the CI perf smoke.
+//! EXPERIMENTS.md) so the perf trajectory is trackable across changes and,
+//! given a baseline, compares a fresh run against it — that's the CI perf
+//! smoke. E11, E12 and E14 reuse the arm functions here.
 
-use crate::{render_table, write_obs_artifact};
+use crate::{json_rows, ops_per_sec, write_artifacts, Table};
 use sbu_core::{
     bounded::UniversalConfig, CellPayload, SpinLockUniversal, UnboundedUniversal, Universal,
     UniversalObject,
 };
 use sbu_mem::native::NativeMem;
-use sbu_mem::{Pid, WordMem};
+use sbu_mem::{DataMem, WordMem};
 use sbu_obs::Json;
 use sbu_spec::specs::{CounterOp, CounterSpec};
-use std::sync::Arc;
-use std::time::Instant;
 
 /// Operations per thread for every arm.
 pub const OPS_PER_THREAD: usize = 2_000;
@@ -62,32 +60,22 @@ impl E8Row {
     }
 }
 
-fn throughput<U>(
-    threads: usize,
-    ops_per_thread: usize,
-    obj: U,
-    mem: NativeMem<CellPayload<CounterSpec>>,
-) -> f64
+/// Ops/sec of `threads` threads each applying `ops` increments to `obj`.
+pub(crate) fn counter_arm<U, M>(threads: usize, ops: usize, obj: &U, mem: &M) -> f64
 where
-    U: UniversalObject<CounterSpec> + Clone + 'static,
+    U: UniversalObject<CounterSpec>,
+    M: DataMem<CellPayload<CounterSpec>> + Sync,
 {
-    let mem = Arc::new(mem);
-    let t0 = Instant::now();
-    std::thread::scope(|s| {
-        for i in 0..threads {
-            let mem = Arc::clone(&mem);
-            let obj = obj.clone();
-            s.spawn(move || {
-                for _ in 0..ops_per_thread {
-                    obj.apply(&*mem, Pid(i), &CounterOp::Inc);
-                }
-            });
+    ops_per_sec(threads, ops, |pid| {
+        for _ in 0..ops {
+            obj.apply(mem, pid, &CounterOp::Inc);
         }
-    });
-    (threads * ops_per_thread) as f64 / t0.elapsed().as_secs_f64()
+    })
 }
 
-fn bounded_throughput(
+/// The bounded construction under `config`, with its instruments (and the
+/// memory's) attached to `registry`.
+pub(crate) fn bounded_arm(
     threads: usize,
     ops: usize,
     config: UniversalConfig,
@@ -99,68 +87,66 @@ fn bounded_throughput(
         .config(config)
         .obs(registry)
         .build(&mut mem, CounterSpec::new());
-    throughput(threads, ops, bounded, mem)
+    counter_arm(threads, ops, &bounded, &mem)
 }
 
-/// Measure every arm at every thread count.
-pub fn measure() -> Vec<E8Row> {
-    measure_with(&sbu_obs::Registry::new(0))
+/// The spin-lock-protected sequential counter.
+pub(crate) fn spin_lock_arm(threads: usize, ops: usize) -> f64 {
+    let mut mem: NativeMem<CellPayload<CounterSpec>> = NativeMem::new();
+    let lock = SpinLockUniversal::new(&mut mem, CounterSpec::new());
+    counter_arm(threads, ops, &lock, &mem)
 }
 
-/// Like [`measure`], but the bounded arms attach their instruments to
-/// `registry` (frontier hit/miss/fallback, combining batch sizes, CAS
-/// retries) — the source of the `OBS_e8.json` artifact. Size the registry
-/// for the largest entry of [`THREADS`].
-pub fn measure_with(registry: &sbu_obs::Registry) -> Vec<E8Row> {
-    let mut rows = Vec::new();
-    for &threads in &THREADS {
-        let ops = OPS_PER_THREAD;
+/// Measure every arm at every thread count; the bounded arms attach
+/// their instruments (frontier hit/miss/fallback, combining batch sizes,
+/// CAS retries) to `registry` — the source of the `OBS_e8.json`
+/// artifact. Size the registry for the largest entry of [`THREADS`].
+pub fn measure(registry: &sbu_obs::Registry) -> Vec<E8Row> {
+    THREADS
+        .iter()
+        .map(|&threads| {
+            let ops = OPS_PER_THREAD;
+            let config = UniversalConfig::for_procs(threads);
+            let bounded_fast = bounded_arm(threads, ops, config, registry);
+            let bounded_paper = bounded_arm(threads, ops, config.paper_scans(), registry);
 
-        let bounded_fast =
-            bounded_throughput(threads, ops, UniversalConfig::for_procs(threads), registry);
-        let bounded_paper = bounded_throughput(
-            threads,
-            ops,
-            UniversalConfig::for_procs(threads).paper_scans(),
-            registry,
-        );
+            let mut mem: NativeMem<CellPayload<CounterSpec>> = NativeMem::new();
+            let unbounded = UnboundedUniversal::new(&mut mem, threads, ops + 8, CounterSpec::new());
+            let unbounded = counter_arm(threads, ops, &unbounded, &mem);
 
-        let mut mem: NativeMem<CellPayload<CounterSpec>> = NativeMem::new();
-        let unbounded = UnboundedUniversal::new(&mut mem, threads, ops + 8, CounterSpec::new());
-        let unbounded_tp = throughput(threads, ops, unbounded, mem);
+            // Raw fetch-and-add reference (not linearizable *as a universal
+            // object* — it IS the hardware op the constructions simulate).
+            let mut mem: NativeMem<()> = NativeMem::new();
+            let reg = mem.alloc_atomic(0);
+            let raw_fetch_add = ops_per_sec(threads, ops, |pid| {
+                for _ in 0..ops {
+                    mem.rmw(pid, reg, &|x| x + 1);
+                }
+            });
 
-        let mut mem: NativeMem<CellPayload<CounterSpec>> = NativeMem::new();
-        let lock = SpinLockUniversal::new(&mut mem, CounterSpec::new());
-        let lock_tp = throughput(threads, ops, lock, mem);
-
-        // Raw fetch-and-add reference (not linearizable *as a universal
-        // object* — it IS the hardware op the constructions simulate).
-        let mut mem: NativeMem<()> = NativeMem::new();
-        let reg = mem.alloc_atomic(0);
-        let mem = Arc::new(mem);
-        let t0 = Instant::now();
-        std::thread::scope(|s| {
-            for i in 0..threads {
-                let mem = Arc::clone(&mem);
-                s.spawn(move || {
-                    for _ in 0..ops {
-                        mem.rmw(Pid(i), reg, &|x| x + 1);
-                    }
-                });
+            E8Row {
+                threads,
+                bounded_fast,
+                bounded_paper,
+                unbounded,
+                spin_lock: spin_lock_arm(threads, ops),
+                raw_fetch_add,
             }
-        });
-        let raw_tp = (threads * ops) as f64 / t0.elapsed().as_secs_f64();
+        })
+        .collect()
+}
 
-        rows.push(E8Row {
-            threads,
-            bounded_fast,
-            bounded_paper,
-            unbounded: unbounded_tp,
-            spin_lock: lock_tp,
-            raw_fetch_add: raw_tp,
-        });
-    }
-    rows
+fn table() -> Table<E8Row> {
+    Table::<E8Row>::new("E8  native throughput, ops/sec (counter; release build recommended)")
+        .num("threads", "threads", 0, |r| r.threads as f64)
+        .num("bounded (fast)", "bounded_fast", 0, |r| r.bounded_fast)
+        .num("bounded (paper)", "bounded_paper", 0, |r| r.bounded_paper)
+        .text("speedup", |r| {
+            format!("{:.2}×", r.bounded_fast / r.bounded_paper)
+        })
+        .num("unbounded", "unbounded", 0, |r| r.unbounded)
+        .num("spin lock", "spin_lock", 0, |r| r.spin_lock)
+        .num("raw fetch-add", "raw_fetch_add", 0, |r| r.raw_fetch_add)
 }
 
 /// The `BENCH_e8.json` document for a set of rows (schema: EXPERIMENTS.md).
@@ -170,68 +156,15 @@ pub fn to_json(rows: &[E8Row]) -> Json {
         ("object", Json::Str("counter".into())),
         ("unit", Json::Str("ops_per_sec".into())),
         ("ops_per_thread", Json::Num(OPS_PER_THREAD as f64)),
-        (
-            "rows",
-            Json::Arr(
-                rows.iter()
-                    .map(|r| {
-                        Json::obj(vec![
-                            ("threads", Json::Num(r.threads as f64)),
-                            ("bounded_fast", Json::Num(r.bounded_fast)),
-                            ("bounded_paper", Json::Num(r.bounded_paper)),
-                            ("unbounded", Json::Num(r.unbounded)),
-                            ("spin_lock", Json::Num(r.spin_lock)),
-                            ("raw_fetch_add", Json::Num(r.raw_fetch_add)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
+        ("rows", json_rows(rows, &[&table()])),
     ])
 }
 
-fn render(rows: &[E8Row]) -> String {
-    let table_rows: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.threads.to_string(),
-                format!("{:.0}", r.bounded_fast),
-                format!("{:.0}", r.bounded_paper),
-                format!("{:.2}×", r.bounded_fast / r.bounded_paper),
-                format!("{:.0}", r.unbounded),
-                format!("{:.0}", r.spin_lock),
-                format!("{:.0}", r.raw_fetch_add),
-            ]
-        })
-        .collect();
-    render_table(
-        "E8  native throughput, ops/sec (counter; release build recommended)",
-        &[
-            "threads",
-            "bounded (fast)",
-            "bounded (paper)",
-            "speedup",
-            "unbounded",
-            "spin lock",
-            "raw fetch-add",
-        ],
-        &table_rows,
-    )
-}
-
-/// Run the experiment, write `BENCH_e8.json`, and return the report.
-pub fn run() -> String {
-    match run_checked(None) {
-        Ok(report) => report,
-        Err(e) => e, // unreachable: no baseline means no failure path
-    }
-}
-
-/// Like [`run`], but when `baseline` names a readable `BENCH_e8.json`-shaped
-/// file, also compare the fresh `bounded_fast` numbers against it and fail
-/// (Err, with the report) on a >30% regression at any thread count. A
-/// missing baseline file is a graceful skip, not an error.
+/// Run the experiment, write `BENCH_e8.json`, and return the report. When
+/// `baseline` names a readable `BENCH_e8.json`-shaped file, also compare
+/// the fresh `bounded_fast` numbers against it and fail (Err, with the
+/// report) on a >30% regression at any thread count. A missing baseline
+/// file is a graceful skip, not an error.
 ///
 /// Millisecond-scale runs are noisy (a busy CI neighbour can halve one
 /// sample), so a regression verdict is only issued after taking the
@@ -239,7 +172,7 @@ pub fn run() -> String {
 /// regressions survive retries, scheduler hiccups don't. The written
 /// `BENCH_e8.json` holds the merged best, which is also the right thing to
 /// promote to a new baseline.
-pub fn run_checked(baseline: Option<&str>) -> Result<String, String> {
+pub fn run(baseline: Option<&str>) -> Result<String, String> {
     let base = match baseline {
         None => None,
         Some(path) => match std::fs::read_to_string(path) {
@@ -249,27 +182,22 @@ pub fn run_checked(baseline: Option<&str>) -> Result<String, String> {
     };
 
     let registry = sbu_obs::Registry::new(*THREADS.iter().max().expect("non-empty sweep"));
-    let mut rows = measure_with(&registry);
+    let mut rows = measure(&registry);
     if let Some(base) = &base {
         for _ in 0..2 {
             if !compare_to_baseline(base, &rows).1 {
                 break;
             }
-            for (best, fresh) in rows.iter_mut().zip(measure_with(&registry)) {
+            for (best, fresh) in rows.iter_mut().zip(measure(&registry)) {
                 best.merge_best(&fresh);
             }
         }
     }
 
-    let json = to_json(&rows).render();
-    let mut report = render(&rows);
+    let mut report = table().render(&rows);
     let metrics = registry.snapshot();
     report.push_str(&metrics.render_table("E8  bounded-arm instruments (all sweeps)"));
-    match std::fs::write("BENCH_e8.json", &json) {
-        Ok(()) => report.push_str("wrote BENCH_e8.json\n"),
-        Err(e) => report.push_str(&format!("could not write BENCH_e8.json: {e}\n")),
-    }
-    report.push_str(&write_obs_artifact("e8", &metrics));
+    report.push_str(&write_artifacts("e8", Some(&to_json(&rows)), &metrics));
 
     let Some(path) = baseline else {
         return Ok(report);

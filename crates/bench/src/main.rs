@@ -6,8 +6,8 @@
 //! cargo run --release -p sbu-bench --bin exp -- e8 --baseline benchmarks/BENCH_e8_baseline.json
 //! ```
 //!
-//! E8/E10/E11 also write `BENCH_<exp>.json` next to the working directory
-//! (schema in EXPERIMENTS.md). With `--baseline <path>`, E8 additionally
+//! E8 and E10–E15 also write `BENCH_<exp>.json` into the working directory
+//! (schemas in EXPERIMENTS.md). With `--baseline <path>`, E8 additionally
 //! compares its fresh numbers against the recorded baseline and exits
 //! non-zero on a >30% `bounded_fast` regression — the CI perf smoke.
 //!
@@ -29,8 +29,9 @@
 //!
 //! `exp e15` measures the transport tax — the matched closed-loop counter
 //! workload over in-process mailboxes, a Unix-domain socket, and TCP
-//! loopback, plus a lossy-socket exactly-once leg; `exp e15 --smoke` is
-//! the CI arm (a small lossy Unix cell that must hold exactly-once with
+//! loopback, plus a lossy-socket exactly-once leg — and exits non-zero if
+//! any leg lost or double-applied an acked op; `exp e15 --smoke` is the CI
+//! arm (a small lossy Unix cell that must hold exactly-once with
 //! live `service.accept` traffic).
 //!
 //! `exp scenarios [...]` runs the deterministic scenario matrix instead
@@ -38,7 +39,34 @@
 //! to that driver, and its exit code (0 ok / 1 verdict or coverage
 //! regression / 2 usage) becomes the process's.
 
+use sbu_bench::*;
 use std::time::Instant;
+
+/// An experiment's run, given the `--baseline` path: its report, or — when
+/// one of its checks failed — the report that makes `exp` exit 1.
+type Run = fn(Option<&str>) -> Result<String, String>;
+
+/// The quick CI form that `--smoke` selects, where an experiment has one.
+type Smoke = fn() -> Result<String, String>;
+
+/// Every experiment, in `all` order.
+const EXPERIMENTS: &[(&str, Run, Option<Smoke>)] = &[
+    ("e1", |_| Ok(e1_sticky_byte::run()), None),
+    ("e2", |_| Ok(e2_election::run()), None),
+    ("e3", |_| Ok(e3_space::run()), None),
+    ("e4", |_| Ok(e4_time::run()), None),
+    ("e5", |_| Ok(e5_crash::run()), None),
+    ("e6", |_| Ok(e6_hierarchy::run()), None),
+    ("e7", |_| Ok(e7_randomized::run()), None),
+    ("e8", e8_throughput::run, None),
+    ("e9", |_| Ok(e9_explore::run()), None),
+    ("e10", |_| Ok(e10_stress::run()), None),
+    ("e11", |_| Ok(e11_recovery::run()), None),
+    ("e12", |_| e12_service::run(), Some(e12_service::run_smoke)),
+    ("e13", |_| e13_faults::run(), Some(e13_faults::run_smoke)),
+    ("e14", |_| Ok(e14_batch::run()), Some(e14_batch::run_smoke)),
+    ("e15", |_| e15_socket::run(), Some(e15_socket::run_smoke)),
+];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -66,78 +94,28 @@ fn main() {
             names.push(arg.as_str());
         }
     }
-    let selected: Vec<&str> = if names.is_empty() || names.contains(&"all") {
-        vec![
-            "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13",
-            "e14", "e15",
-        ]
-    } else {
-        names
-    };
-    for exp in selected {
-        let t0 = Instant::now();
-        let report = match exp {
-            "e1" => sbu_bench::e1_sticky_byte::run(),
-            "e2" => sbu_bench::e2_election::run(),
-            "e3" => sbu_bench::e3_space::run(),
-            "e4" => sbu_bench::e4_time::run(),
-            "e5" => sbu_bench::e5_crash::run(),
-            "e6" => sbu_bench::e6_hierarchy::run(),
-            "e7" => sbu_bench::e7_randomized::run(),
-            "e8" => match sbu_bench::e8_throughput::run_checked(baseline.as_deref()) {
-                Ok(report) => report,
-                Err(report) => {
-                    println!("{report}");
-                    std::process::exit(1);
-                }
-            },
-            "e9" => sbu_bench::e9_explore::run(),
-            "e10" => sbu_bench::e10_stress::run(),
-            "e11" => sbu_bench::e11_recovery::run(),
-            "e12" if smoke => match sbu_bench::e12_service::run_smoke() {
-                Ok(report) => report,
-                Err(report) => {
-                    println!("{report}");
-                    std::process::exit(1);
-                }
-            },
-            "e12" => sbu_bench::e12_service::run(),
-            "e13" if smoke => match sbu_bench::e13_faults::run_smoke() {
-                Ok(report) => report,
-                Err(report) => {
-                    println!("{report}");
-                    std::process::exit(1);
-                }
-            },
-            "e13" => match sbu_bench::e13_faults::run_checked() {
-                Ok(report) => report,
-                Err(report) => {
-                    println!("{report}");
-                    std::process::exit(1);
-                }
-            },
-            "e14" if smoke => match sbu_bench::e14_batch::run_smoke() {
-                Ok(report) => report,
-                Err(report) => {
-                    println!("{report}");
-                    std::process::exit(1);
-                }
-            },
-            "e14" => sbu_bench::e14_batch::run(),
-            "e15" if smoke => match sbu_bench::e15_socket::run_smoke() {
-                Ok(report) => report,
-                Err(report) => {
-                    println!("{report}");
-                    std::process::exit(1);
-                }
-            },
-            "e15" => sbu_bench::e15_socket::run(),
-            other => {
-                eprintln!("unknown experiment {other:?}; use e1..e15, scenarios, or all");
-                std::process::exit(2);
-            }
+    if names.is_empty() || names.contains(&"all") {
+        names = EXPERIMENTS.iter().map(|&(name, ..)| name).collect();
+    }
+    for exp in names {
+        let Some(&(_, run, smoke_run)) = EXPERIMENTS.iter().find(|&&(name, ..)| name == exp) else {
+            eprintln!("unknown experiment {exp:?}; use e1..e15, scenarios, or all");
+            std::process::exit(2);
         };
-        println!("{report}");
-        println!("[{exp} took {:.1?}]\n", t0.elapsed());
+        let t0 = Instant::now();
+        let outcome = match smoke_run {
+            Some(smoke_run) if smoke => smoke_run(),
+            _ => run(baseline.as_deref()),
+        };
+        match outcome {
+            Ok(report) => {
+                println!("{report}");
+                println!("[{exp} took {:.1?}]\n", t0.elapsed());
+            }
+            Err(report) => {
+                println!("{report}");
+                std::process::exit(1);
+            }
+        }
     }
 }

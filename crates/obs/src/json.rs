@@ -5,7 +5,7 @@
 //! are flat — a few scalars plus an array or object of rows — so a small
 //! writer and a recursive-descent reader cover everything the perf-tracking
 //! tooling needs without pulling in serde. This module started life in
-//! `sbu-bench`, which still re-exports it under its old path.
+//! `sbu-bench`; its experiments now import it from here.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

@@ -110,6 +110,9 @@ else
     echo "benchmarks/BENCH_e8_baseline.json absent; perf smoke skipped"
 fi
 
+step "universal construction on real threads (exp e10 e11: monitored torture, group-commit backoff re-sweep and durability tax at 1-8 threads)"
+cargo run --release --quiet --offline -p sbu-bench --bin exp -- e10 e11 >/dev/null
+
 step "service unit tests (dark config; the obs config ran in the obs-enabled block above)"
 cargo test --quiet --offline -p sbu-service
 
