@@ -12,7 +12,10 @@
 //! * no fault plane, 16 requests in flight over 2 workers: replies arrive
 //!   interleaved across workers, and none of that reads as a loss.
 //!
-//! Both run in-process and over a Unix-domain socket.
+//! Both run in-process and over a Unix-domain socket. A last test pins the
+//! other half over a socket: in a closed loop, where no later request can
+//! prove a loss, a 1 ms timer recovers it in about 1 ms, not at the
+//! kernel's next tick.
 
 use sbu_service::{
     request_frame, response_frame, Admission, FaultProfile, FaultyChannel, InjectObs, RetryPolicy,
@@ -81,6 +84,18 @@ fn one_drop_with_a_successor() -> (u64, usize) {
             (clean && lost.len() == 1 && lost[0] < IN_FLIGHT - 1).then(|| (seed, lost[0]))
         })
         .expect("some seed drops exactly one request with a successor")
+}
+
+/// The first seed under which, with one worker (request lane 0) and one
+/// client (reply lane 1), the plane delivers the first request, drops the
+/// second and delivers its retransmission, and delivers both replies.
+fn second_request_dropped() -> u64 {
+    (0..10_000)
+        .find(|&seed| {
+            delivered(seed, 0, 3, false) == [true, false, true]
+                && delivered(seed, 1, 2, true) == [true, true]
+        })
+        .expect("some seed drops the second request only")
 }
 
 /// Submit `n` increments on keys `0..n`, then wait on each in order; every
@@ -167,4 +182,42 @@ fn unix_socket_cross_worker_order_is_not_a_loss() {
     let path = scratch_socket("clean");
     interleaved_workers_prove_no_loss(TransportConfig::Unix(path.clone()));
     let _ = std::fs::remove_file(path);
+}
+
+#[test]
+fn unix_socket_closed_loop_loss_costs_one_timer() {
+    // Nothing is in flight behind the lost request, so only the timer can
+    // recover it, and over a socket it must fire when it should, not at
+    // the kernel's next tick (a median 8 ms at 250 Hz).
+    let path = scratch_socket("timer");
+    let mut svc = Service::builder(1)
+        .workers(1)
+        .clients(1)
+        .transport(TransportConfig::Unix(path.clone()))
+        .fault(drop_only())
+        .retry(RetryPolicy::lossy().with_attempt_timeout(Duration::from_millis(1)))
+        .seed(second_request_dropped())
+        .build(CounterSpec::new());
+    let client = svc.client(0);
+    // Dial first and give the acceptor, which polls every 2 ms, time to
+    // take the connection, so the timed call pays for its loss alone. The
+    // call parks the warm-up's reply; it is claimed (and sampled) after.
+    let warm = client.submit(1, &CounterOp::Read);
+    std::thread::sleep(Duration::from_millis(20));
+    let start = Instant::now();
+    assert_eq!(client.call(0, &CounterOp::Inc).expect("inc"), 1);
+    let took = start.elapsed();
+    assert_eq!(warm.wait(Instant::now() + BUDGET).expect("warm-up"), 0);
+    let snap = svc.obs_snapshot();
+    svc.shutdown();
+    let _ = std::fs::remove_file(path);
+    assert!(took < Duration::from_millis(4), "one loss cost {took:?}");
+    if cfg!(feature = "obs") {
+        assert_eq!(snap.counter("service.inject.drop"), 1);
+        assert_eq!(
+            snap.counter("service.retry"),
+            1,
+            "one timer, one retransmission"
+        );
+    }
 }

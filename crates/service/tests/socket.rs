@@ -3,8 +3,8 @@
 //! stream, well-framed frames a worker cannot serve, determinism of
 //! socket-backed load reports, the cross-client misrouting regressions (a
 //! fault plane carrying one client's frames over another client's stream,
-//! and two streams claiming one client id), and a held reply winning over
-//! an expired deadline.
+//! and two streams claiming one client id), a held reply winning over an
+//! expired deadline, and a wait that ends at its deadline.
 
 use sbu_service::loadgen::{self, LoadgenConfig};
 use sbu_service::{
@@ -334,5 +334,55 @@ fn a_held_reply_beats_an_expired_deadline() {
         start.elapsed() < Duration::from_secs(1),
         "nothing held: no wait"
     );
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn a_socket_wait_ends_at_its_deadline() {
+    // SO_RCVTIMEO wakes a read on a kernel tick (a median 8 ms at 250 Hz
+    // for any timeout up to 4 ms), so a wait that blocked to its deadline
+    // would fire a short timer late. Its last stretch polls instead.
+    let path = scratch_socket("deadline");
+    let listener = std::os::unix::net::UnixListener::bind(&path).expect("bind");
+    let mut conn = SocketConn::dial(format!("unix://{}", path.display()));
+    let req = request_frame::<CounterSpec>(0, 7, 1, &CounterOp::Inc);
+    conn.send(0, Delivery::Intact(req.to_bytes())); // dials
+    let (mut server, _) = listener.accept().expect("accept");
+
+    // The peer never answers: each 1 ms wait times out at its deadline.
+    let mut waited: Vec<Duration> = (0..20)
+        .map(|_| {
+            let start = Instant::now();
+            let event = conn.recv_until(start + Duration::from_millis(1));
+            assert!(matches!(event, ConnEvent::Timeout), "{event:?}");
+            start.elapsed()
+        })
+        .collect();
+    waited.sort();
+    assert!(
+        waited[10] < Duration::from_millis(3),
+        "a 1 ms wait took a median {:?}",
+        waited[10]
+    );
+
+    // A reply written ~300 µs into a 5 ms wait, all of it polled, comes
+    // back before the deadline. The slack covers a busy test machine
+    // waking the writer late.
+    let reply = response_frame::<CounterSpec>(&req, &1).to_bytes();
+    let go = std::sync::Barrier::new(2);
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            go.wait();
+            std::thread::sleep(Duration::from_micros(300));
+            server.write_all(&reply).expect("write reply");
+        });
+        go.wait();
+        let until = Instant::now() + Duration::from_millis(5);
+        match conn.recv_until(until) {
+            ConnEvent::Frame(frame) => assert_eq!((frame.seq, frame.key), (7, 1)),
+            other => panic!("a reply inside the wait was missed: {other:?}"),
+        }
+        assert!(Instant::now() < until, "the reply came back late");
+    });
     let _ = std::fs::remove_file(&path);
 }

@@ -162,6 +162,9 @@ grep -Eq '"service\.accept": [1-9]' OBS_e15.json || {
     exit 1
 }
 
+step "socket transport sweep (exp e15 under obs: every leg exactly-once, socket legs with live accepts and reads)"
+cargo run --release --quiet --offline --features obs -p sbu-bench --bin exp -- e15
+
 step "fast-path equivalence (per-command vs batched fold, both feature configs)"
 cargo test --quiet --offline -p sbu-core --test fastpath_equivalence
 cargo test --quiet --offline -p sbu-core --test fastpath_equivalence --features obs
