@@ -10,6 +10,11 @@
 //! guarantees, not raw speed; on a single core the lock often wins — the
 //! point is that the wait-free object stays correct and live under the same
 //! torture where a lock holder can stall everyone.
+//!
+//! A second table re-sweeps the backoff cap for the bounded construction
+//! applying blocks ([`sbu_core::Universal::apply_batch`], via the E14
+//! harness), and fails the experiment if any cell's counter does not read
+//! back exactly.
 
 use crate::{json_rows, write_artifacts, Table};
 use sbu_core::bounded::UniversalConfig;
@@ -24,21 +29,19 @@ use sbu_stress::{
 /// by sweeping {2, 6, 16} at 4–8 threads on the reference box.
 const TUNED_BACKOFF_LIMIT: u32 = 6;
 
-/// Backoff caps re-swept in the batched (group-commit) configuration. Group
-/// commit changes who contends on the sticky words — combiners jam whole
-/// blocks while non-combiners mostly wait on `resp_claim` — so the E10 cap
-/// tuned for per-command traffic has to be re-validated rather than assumed.
+/// Backoff caps re-swept with block apply. Blocks change how often the
+/// sticky words are contended — one append per block, not per command — so
+/// the E10 cap tuned for per-command traffic is re-validated rather than
+/// assumed.
 const BATCHED_BACKOFF_SWEEP: [u32; 3] = [2, 6, 16];
 
-/// Production backoff cap for the batched configuration, picked by the
-/// E10 batched-arm sweep at 4–8 threads on the reference box (see
-/// EXPERIMENTS.md §E10). The per-command cap carried over: combiner jam
-/// traffic saturates at the same modest cap, and larger caps only delay
-/// the candidate rescan that lets a stalled combiner's block get helped.
+/// Production backoff cap for block apply, picked by the E10 batched-arm
+/// sweep at 4–8 threads on the reference box (see EXPERIMENTS.md §E10).
+/// The per-command cap carried over: larger caps only delay the candidate
+/// rescan.
 pub const BATCHED_BACKOFF_LIMIT: u32 = 6;
 
-/// Batch cap used for the batched-configuration backoff sweep — the
-/// service plane's drain cap shape (max-size blocks, see E14).
+/// Block size used for the batched backoff sweep (E14's largest).
 const BATCHED_SWEEP_CAP: usize = 8;
 
 /// One thread count of the monitored torture, verified ops/sec.
@@ -65,7 +68,7 @@ pub struct BackoffRow {
     pub threads: usize,
     /// Candidate-switch backoff cap.
     pub backoff_limit: u32,
-    /// Group-commit commands/sec in blocks of the sweep's batch cap.
+    /// Commands/sec in blocks of the sweep's block size.
     pub commands_per_sec: f64,
 }
 
@@ -93,8 +96,8 @@ fn torture_table() -> Table<E10Row> {
 
 fn backoff_table() -> Table<BackoffRow> {
     Table::<BackoffRow>::new(
-        "E10  batched-configuration backoff re-sweep, commands/sec \
-         (group commit on, blocks of 8; production cap marked)",
+        "E10  block-apply backoff re-sweep, commands/sec \
+         (blocks of 8, counter read back; production cap marked)",
     )
     .num("threads", "threads", 0, |r| r.threads as f64)
     .num("backoff cap", "backoff_limit", 0, |r| {
@@ -133,8 +136,9 @@ pub fn to_json(rows: &[E10Row], backoff: &[BackoffRow]) -> Json {
     ])
 }
 
-/// Run the experiment, write `BENCH_e10.json`, and return the report.
-pub fn run() -> String {
+/// Run the experiment, write `BENCH_e10.json`, and return the report;
+/// `Err` if a batched cell lost or duplicated a command.
+pub fn run() -> Result<String, String> {
     let mut rows = Vec::new();
     let mut last_native_metrics = sbu_obs::Snapshot::default();
     for &threads in &[1usize, 2, 4, 8] {
@@ -173,19 +177,15 @@ pub fn run() -> String {
             windows_lock: lock.windows_checked,
         });
     }
-    // Batched-configuration backoff re-sweep: the same backoff caps, but
-    // driving the group-commit bounded construction at the service drain's
-    // block shape instead of per-command JamWord traffic. Commands/sec via
-    // the E14 harness so the arms stay comparable with that experiment's
-    // table.
+    // Block-apply backoff re-sweep: the same backoff caps, but driving the
+    // bounded construction with blocks of 8 instead of per-command JamWord
+    // traffic. Commands/sec via the E14 harness so the arms stay comparable
+    // with that experiment's table; each cell reads its counter back.
     let mut backoff = Vec::new();
     let backoff_registry = sbu_obs::Registry::new(8);
     for &threads in &[4usize, 8] {
         for &limit in &BATCHED_BACKOFF_SWEEP {
-            let config = UniversalConfig::for_procs(threads)
-                .group_commit(true)
-                .with_batch_cap(BATCHED_SWEEP_CAP)
-                .with_backoff_limit(limit);
+            let config = UniversalConfig::for_procs(threads).with_backoff_limit(limit);
             backoff.push(BackoffRow {
                 threads,
                 backoff_limit: limit,
@@ -195,7 +195,7 @@ pub fn run() -> String {
                     BATCHED_SWEEP_CAP,
                     config,
                     &backoff_registry,
-                ),
+                )?,
             });
         }
     }
@@ -213,7 +213,7 @@ pub fn run() -> String {
         Some(&to_json(&rows, &backoff)),
         &last_native_metrics,
     ));
-    report
+    Ok(report)
 }
 
 #[cfg(test)]

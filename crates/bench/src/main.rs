@@ -22,10 +22,11 @@
 //! under the full lossy profile and exits non-zero if an acked op was lost
 //! or double-applied, or — under obs — if the shim injected nothing.
 //!
-//! `exp e14` sweeps the group-commit batch apply (batched vs per-command
-//! commands/sec at several batch caps); `exp e14 --smoke` is the CI arm —
-//! batched must not lose to per-command at 4 threads, and under obs the
-//! `core.batch_size` histogram must show real multi-command batches.
+//! `exp e14` sweeps block apply (batched vs per-command commands/sec at
+//! several block sizes) and exits non-zero if any arm's counter does not
+//! read back exactly; `exp e14 --smoke` is the CI arm — batched must not
+//! lose to per-command at 4 threads, and under obs the `core.batch_size`
+//! histogram must show real multi-command blocks.
 //!
 //! `exp e15` measures the transport tax — the matched closed-loop counter
 //! workload over in-process mailboxes, a Unix-domain socket, and TCP
@@ -60,11 +61,11 @@ const EXPERIMENTS: &[(&str, Run, Option<Smoke>)] = &[
     ("e7", |_| Ok(e7_randomized::run()), None),
     ("e8", e8_throughput::run, None),
     ("e9", |_| Ok(e9_explore::run()), None),
-    ("e10", |_| Ok(e10_stress::run()), None),
+    ("e10", |_| e10_stress::run(), None),
     ("e11", |_| Ok(e11_recovery::run()), None),
     ("e12", |_| e12_service::run(), Some(e12_service::run_smoke)),
     ("e13", |_| e13_faults::run(), Some(e13_faults::run_smoke)),
-    ("e14", |_| Ok(e14_batch::run()), Some(e14_batch::run_smoke)),
+    ("e14", |_| e14_batch::run(), Some(e14_batch::run_smoke)),
     ("e15", |_| e15_socket::run(), Some(e15_socket::run_smoke)),
 ];
 

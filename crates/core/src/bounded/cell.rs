@@ -36,29 +36,6 @@ pub struct UniversalConfig {
     /// [`sbu_mem::Backoff::DEFAULT_LIMIT`]; E10 sweeps this to tune the
     /// 4–8 thread `native_jam` contention cliff.
     pub backoff_limit: u32,
-    /// Group-commit batch apply (flat-combining at the state-cell level):
-    /// one appended cell carries a *batch* of commands — the appender's own
-    /// block plus any blocks it packed from the announce array — paying one
-    /// GFC + append protocol and one sequential-state recompute for the
-    /// whole batch, with per-command return values distributed back through
-    /// the packed cells. Off by default; [`UniversalConfig::paper_scans`]
-    /// implies off (the paper's per-command lists are the reference arm of
-    /// the equivalence tests). The mode is fixed at build time: a list
-    /// carries either classic or batch payloads, never both.
-    pub group_commit: bool,
-    /// Max commands per owner block in group-commit mode: bounds both one
-    /// [`super::Universal::apply_batch`] chunk and the per-processor
-    /// response retention in snapshots (a processor never has more than one
-    /// block outstanding, so retaining one block worth of `(seq, resp)`
-    /// pairs per processor keeps every still-needed response recoverable).
-    pub batch_cap: usize,
-    /// Bounded wait (in local re-reads of the response flag) a group-commit
-    /// member spends hoping a combiner serves its announced block before it
-    /// falls back to the classic self-append. Purely a performance lever —
-    /// the fallback makes progress regardless, so wait-freedom is
-    /// unchanged. Keep small under the simulator (every re-read is a
-    /// scheduled step).
-    pub return_spin: u32,
 }
 
 impl UniversalConfig {
@@ -68,19 +45,8 @@ impl UniversalConfig {
             cells: 4 * n * n + 8 * n + 4,
             fast_paths: true,
             backoff_limit: sbu_mem::Backoff::DEFAULT_LIMIT,
-            group_commit: false,
-            batch_cap: Self::DEFAULT_BATCH_CAP,
-            return_spin: Self::DEFAULT_RETURN_SPIN,
         }
     }
-
-    /// Default per-owner block cap in group-commit mode (see
-    /// [`UniversalConfig::batch_cap`]).
-    pub const DEFAULT_BATCH_CAP: usize = 32;
-
-    /// Default member wait budget in group-commit mode (see
-    /// [`UniversalConfig::return_spin`]).
-    pub const DEFAULT_RETURN_SPIN: u32 = 192;
 
     /// Override the pool size (experiment E3 sweeps this to find the real
     /// high-water mark). Fast paths stay enabled; chain
@@ -94,33 +60,9 @@ impl UniversalConfig {
 
     /// Disable every fast path: run the paper's full scans verbatim (the
     /// baseline arm of E4c/E8, and the reference side of the equivalence
-    /// tests). Implies group-commit off — the paper's lists are strictly
-    /// one command per cell.
+    /// tests).
     pub fn paper_scans(mut self) -> Self {
         self.fast_paths = false;
-        self.group_commit = false;
-        self
-    }
-
-    /// Enable or disable group-commit batch apply (see
-    /// [`UniversalConfig::group_commit`]).
-    pub fn group_commit(mut self, on: bool) -> Self {
-        self.group_commit = on;
-        self
-    }
-
-    /// Cap one owner block at `cap` commands in group-commit mode (see
-    /// [`UniversalConfig::batch_cap`]).
-    pub fn with_batch_cap(mut self, cap: usize) -> Self {
-        assert!(cap >= 1, "batch cap must admit at least one command");
-        self.batch_cap = cap;
-        self
-    }
-
-    /// Bound the group-commit member wait at `spins` flag re-reads (see
-    /// [`UniversalConfig::return_spin`]).
-    pub fn with_return_spin(mut self, spins: u32) -> Self {
-        self.return_spin = spins;
         self
     }
 
@@ -171,30 +113,6 @@ pub(crate) struct CellHandles {
     pub has_cmd: SafeId,
     pub state: DataId,
     pub has_state: SafeId,
-    /// Group-commit return-value slots, allocated only when the config
-    /// enables batching (so a classic build's allocation order — and every
-    /// simulator location id — is byte-identical to earlier PRs).
-    pub group: Option<GroupSlots>,
-}
-
-/// The per-cell registers group-commit adds for return-value distribution
-/// (the member's side of the flat-combining handshake).
-///
-/// | field        | kind        | decided by                                |
-/// |--------------|-------------|-------------------------------------------|
-/// | `resp_claim` | sticky word | jam race: which combiner writes the slot  |
-/// | `resp`       | data        | the cell's `(seq, resp)` envelope         |
-/// | `has_resp`   | safe        | `resp` is stable                          |
-///
-/// `resp_claim` keeps the data slot single-writer per incarnation: every
-/// combiner that packed the cell jams its pid, and only the jam winner
-/// writes `resp` then raises `has_resp` (write-data-then-flag, same
-/// discipline as `cmd`/`state`). All three are reset by INIT alongside the
-/// rest of the cell.
-pub(crate) struct GroupSlots {
-    pub resp_claim: StickyWordId,
-    pub resp: DataId,
-    pub has_resp: SafeId,
 }
 
 impl CellHandles {
@@ -205,7 +123,6 @@ impl CellHandles {
     pub fn new<S: SequentialSpec, M: DataMem<CellPayload<S>>>(
         mem: &mut M,
         n: usize,
-        group_commit: bool,
         r_bits: &mut Vec<SafeId>,
         b_bits: &mut Vec<SafeId>,
     ) -> Self {
@@ -230,11 +147,6 @@ impl CellHandles {
             has_cmd: mem.alloc_safe(0),
             state: mem.alloc_data(None),
             has_state: mem.alloc_safe(0),
-            group: group_commit.then(|| GroupSlots {
-                resp_claim: mem.alloc_sticky_word(),
-                resp: mem.alloc_data(None),
-                has_resp: mem.alloc_safe(0),
-            }),
         }
     }
 }

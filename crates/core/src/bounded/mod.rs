@@ -25,10 +25,11 @@
 //! The `apply` loop itself is Section 5's six steps: get a cell, store the
 //! command, append, scan back to the nearest state snapshot (at most `n`
 //! command cells away), recompute, publish the new snapshot, mark, return.
+//! `apply_batch` runs the same six steps for a block of commands stored in
+//! one cell: Def 3.1 lets one append linearize the whole block.
 
 mod cell;
 mod gfc;
-mod group;
 mod list;
 mod obs;
 mod sync;
@@ -91,25 +92,12 @@ pub(crate) struct ProcLocal {
     /// the owner's INIT quiescence observation implies every foreign jam
     /// into the cell is already durable — see DESIGN.md §9.4.
     dirty: Vec<usize>,
-    /// Last ticket this processor issued in group-commit mode (`(pid, seq)`
-    /// is a command's logical identity; the fold dedups on it). Resynced
-    /// from the list by [`Universal::recover`], since reusing a ticket
-    /// after a crash would make new commands fold to no-ops.
-    next_seq: u64,
 }
 
 pub(crate) struct Inner<S> {
     pub(crate) n: usize,
     pub(crate) use_fast_paths: bool,
     pub(crate) backoff_limit: u32,
-    /// Group-commit batch apply enabled (see
-    /// [`UniversalConfig::group_commit`]; the machinery lives in
-    /// `group.rs`).
-    pub(crate) group_commit: bool,
-    /// Max commands per owner block in group-commit mode.
-    pub(crate) batch_cap: usize,
-    /// Member wait budget (response-flag re-reads) in group-commit mode.
-    pub(crate) return_spin: u32,
     pub(crate) cells: Vec<CellHandles>,
     /// Flat `cells.len() × n` slab of grab bits: `r_bits[c*n + j]` is cell
     /// `c`'s `r_j`. One allocation for the whole pool (see `CellHandles`).
@@ -125,15 +113,6 @@ pub(crate) struct Inner<S> {
     /// still validated (`Next ≠ ⊥ ∧ ¬NotHead`) under a grab, so a stale
     /// cursor only costs time, never correctness.
     pub(crate) frontier: AtomicId,
-    /// Group-commit's advisory combiner token: `0` = nobody combining,
-    /// `pid + 1` = that processor believes it is the active combiner.
-    /// Purely a symmetry breaker (same contract as the frontier cursor —
-    /// plain reads/writes, no CAS): arrivals that see it raised announce
-    /// their block and wait to be packed; arrivals that see it clear
-    /// combine. Any staleness — two combiners, a crashed combiner's
-    /// leftover token — degrades to duplicate packing or member fallback,
-    /// both absorbed by the `(pid, seq)` dedup fold.
-    pub(crate) combiner_active: AtomicId,
     pub(crate) locals: Vec<Mutex<ProcLocal>>,
     /// Hot-path instruments (inert unless attached via the builder; never
     /// a shared-memory step either way).
@@ -262,44 +241,32 @@ where
         let mut local = self.inner.locals[pid.0].lock();
         let inner = &*self.inner;
 
-        if inner.group_commit {
-            let resps = inner.apply_group(mem, pid, &mut local, std::slice::from_ref(op));
-            mem.persist(pid);
-            return resps.into_iter().next().expect("one response per command");
-        }
+        // Steps 1–2: get a free cell, store the command and publish it.
+        let cell = inner.publish(mem, pid, &mut local, CellPayload::Cmd(op.clone()));
 
-        // Step 1: get a free cell (frees eligible owned cells first).
-        let cell = inner.gfc(mem, pid, &mut local);
-
-        // Step 2: store the command, then publish it (write-once, so no
-        // reader can overlap the write).
-        mem.data_write(pid, inner.cells[cell].cmd, CellPayload::Cmd(op.clone()));
-        mem.safe_write(pid, inner.cells[cell].has_cmd, 1);
-
-        // Steps 3–6 (shared with crash recovery, which re-executes them for
-        // an operation interrupted after its command was published).
-        let resp = inner.finish_apply(mem, pid, &mut local, cell, op);
+        // Steps 3–6 (shared with `apply_batch` and with crash recovery,
+        // which re-executes them for an operation interrupted after its
+        // command was published).
+        let mut resp = None;
+        inner.finish_apply(mem, pid, &mut local, cell, std::slice::from_ref(op), |r| {
+            resp = Some(r);
+        });
 
         // Fence before acknowledging: every persistent write backing this
         // response (the jams of the append and the state/command data) must
         // survive a crash that arrives after the caller has seen the
         // result — the durable-linearizability contract for completed ops.
         mem.persist(pid);
-        resp
+        resp.expect("one response per command")
     }
 
-    /// Execute a whole block of `ops` as **one** list append (requires
-    /// [`UniversalConfig::group_commit`]): one cell, one append protocol,
-    /// one sequential-state recompute, one response per command (in
-    /// order). Blocks longer than [`UniversalConfig::batch_cap`] are
-    /// chunked transparently.
-    ///
-    /// This is the service plane's drain primitive: a shard worker pops
-    /// every queued frame for a key and commits them in one shot, turning
-    /// queue depth into batch size. Each command still gets its own
-    /// linearization point — they linearize back-to-back at the append —
-    /// so per-command linearizability (and the wire protocol's
-    /// per-request responses) are unchanged.
+    /// Execute a whole block of `ops` as **one** cell: the same six steps
+    /// as [`Universal::apply`] — announced append with helping, one scan
+    /// back, one recompute — with one response per command, in order. The
+    /// block's commands linearize back to back at the cell's append (Def
+    /// 3.1), so per-command linearizability is unchanged. A block of any
+    /// length is one cell; an empty block appends nothing and returns no
+    /// responses.
     pub fn apply_batch<M: DataMem<CellPayload<S>>>(
         &self,
         mem: &M,
@@ -307,19 +274,15 @@ where
         ops: &[S::Op],
     ) -> Vec<S::Resp> {
         assert!(pid.0 < self.inner.n, "pid out of range");
-        assert!(
-            self.inner.group_commit,
-            "apply_batch requires UniversalConfig::group_commit"
-        );
         if ops.is_empty() {
             return Vec::new();
         }
         let mut local = self.inner.locals[pid.0].lock();
         let inner = &*self.inner;
+        inner.obs.batch_size.record(pid.0, ops.len() as u64);
+        let cell = inner.publish(mem, pid, &mut local, CellPayload::Block(ops.to_vec()));
         let mut resps = Vec::with_capacity(ops.len());
-        for chunk in ops.chunks(inner.batch_cap) {
-            resps.extend(inner.apply_group(mem, pid, &mut local, chunk));
-        }
+        inner.finish_apply(mem, pid, &mut local, cell, ops, |r| resps.push(r));
         mem.persist(pid);
         resps
     }
@@ -339,8 +302,9 @@ where
     ///    fields, so cells claimed before the crash are reclaimed through
     ///    the unchanged distance-bit protocol once fully marked;
     /// 3. re-executes the interrupted operation, if one is found: a cell
-    ///    owned by `pid` with a published command but no state snapshot was
-    ///    crashed between publishing (step 2) and completing (step 5).
+    ///    owned by `pid` with a published command (or block) but no state
+    ///    snapshot was crashed between publishing (step 2) and completing
+    ///    (step 5). A block is re-executed whole.
     ///    Re-running append + scan + snapshot is idempotent — jams agree,
     ///    the snapshot slot is write-once per incarnation — and makes the
     ///    in-flight operation *take effect* (its response is discarded; the
@@ -364,15 +328,6 @@ where
             mem.safe_write(pid, inner.r(c, pid.0), 0);
         }
 
-        if inner.group_commit {
-            // Group-commit recovery has its own retract rules (served
-            // blocks are skipped, tickets are resynced from the list) —
-            // see `group.rs`.
-            inner.recover_group(mem, pid, &mut local);
-            mem.persist(pid);
-            return;
-        }
-
         let mut in_flight = None;
         for (i, c) in inner.cells.iter().enumerate() {
             if i != ANCHOR
@@ -388,11 +343,13 @@ where
         }
 
         if let Some(cell) = in_flight {
-            let op = match mem.data_read(pid, inner.cells[cell].cmd) {
-                Some(CellPayload::Cmd(o)) => o,
+            let payload = mem.data_read(pid, inner.cells[cell].cmd);
+            let ops = match &payload {
+                Some(CellPayload::Cmd(op)) => std::slice::from_ref(op),
+                Some(CellPayload::Block(ops)) => ops.as_slice(),
                 _ => panic!("cell {cell}: published command missing"),
             };
-            inner.finish_apply(mem, pid, &mut local, cell, &op);
+            inner.finish_apply(mem, pid, &mut local, cell, ops, drop);
         } else {
             inner.help_appends(mem, pid, &mut local);
         }
@@ -444,22 +401,15 @@ where
             "pool of {} cells is too small for {n} processors",
             config.cells
         );
-        assert!(
-            config.batch_cap >= 1,
-            "batch cap must admit at least one command"
-        );
         let mut r_bits = Vec::with_capacity(config.cells * n);
         let mut b_bits = Vec::with_capacity(config.cells * n);
         let cells: Vec<CellHandles> = (0..config.cells)
-            .map(|_| CellHandles::new(mem, n, config.group_commit, &mut r_bits, &mut b_bits))
+            .map(|_| CellHandles::new(mem, n, &mut r_bits, &mut b_bits))
             .collect();
         let inner = Inner {
             n,
             use_fast_paths: config.fast_paths,
             backoff_limit: config.backoff_limit,
-            group_commit: config.group_commit,
-            batch_cap: config.batch_cap,
-            return_spin: config.return_spin,
             cells,
             r_bits,
             b_bits,
@@ -467,7 +417,6 @@ where
             announce_append: (0..n).map(|_| mem.alloc_safe(0)).collect(),
             announce_append_cell: (0..n).map(|_| mem.alloc_safe(0)).collect(),
             frontier: mem.alloc_atomic(ANCHOR as u64),
-            combiner_active: mem.alloc_atomic(0),
             locals: (0..n).map(|_| Mutex::new(ProcLocal::default())).collect(),
             obs: self.obs,
             _spec: std::marker::PhantomData,
@@ -479,12 +428,7 @@ where
         let pid0 = Pid(0);
         mem.sticky_jam(pid0, anchor.claimed, true);
         mem.sticky_word_jam(pid0, anchor.proc_id, n as u64);
-        let seed = if config.group_commit {
-            CellPayload::BatchState(crate::GroupSnapshot::initial(initial, n))
-        } else {
-            CellPayload::State(initial)
-        };
-        mem.data_write(pid0, anchor.state, seed);
+        mem.data_write(pid0, anchor.state, CellPayload::State(initial));
         mem.safe_write(pid0, anchor.has_state, 1);
         mem.sticky_word_jam(pid0, anchor.next, ANCHOR as u64);
         Universal {
@@ -498,22 +442,42 @@ where
     S: SequentialSpec + Send + Sync,
     S::Op: Send + Sync,
 {
-    /// Steps 3–6 of the `apply` loop, from a claimed cell whose command is
-    /// published: append, scan back, recompute, publish the snapshot, mark
-    /// distance bits. Idempotent, so crash recovery re-runs it verbatim.
+    /// Steps 1–2 of the `apply` loop: get a free cell (GFC frees eligible
+    /// owned cells first), store `payload` — one command or a block — and
+    /// publish it (write-once, so no reader can overlap the write).
+    fn publish<M: DataMem<CellPayload<S>>>(
+        &self,
+        mem: &M,
+        pid: Pid,
+        local: &mut ProcLocal,
+        payload: CellPayload<S>,
+    ) -> usize {
+        let cell = self.gfc(mem, pid, local);
+        mem.data_write(pid, self.cells[cell].cmd, payload);
+        mem.safe_write(pid, self.cells[cell].has_cmd, 1);
+        cell
+    }
+
+    /// Steps 3–6 of the `apply` loop, from a claimed cell whose command
+    /// (or block) `ops` is published: append, scan back, recompute — handing
+    /// each of `ops`' responses to `out`, in order — publish the snapshot,
+    /// mark distance bits. Idempotent, so crash recovery re-runs it
+    /// verbatim.
     fn finish_apply<M: DataMem<CellPayload<S>>>(
         &self,
         mem: &M,
         pid: Pid,
         local: &mut ProcLocal,
         cell: usize,
-        op: &S::Op,
-    ) -> S::Resp {
+        ops: &[S::Op],
+        mut out: impl FnMut(S::Resp),
+    ) {
         // Step 3: append — the linearization point.
         self.append(mem, pid, local, cell);
 
         // Step 4: scan back to the nearest state snapshot, collecting the
-        // commands in between (at most ~n of them).
+        // commands in between (at most ~n cells of them). The walk runs
+        // newest → oldest, so a block goes in reversed.
         let mut chain: Vec<S::Op> = Vec::new();
         let mut cur = self.next_of(mem, pid, cell);
         let base: S = loop {
@@ -526,24 +490,26 @@ where
             }
             match mem.data_read(pid, ch.cmd) {
                 Some(CellPayload::Cmd(o)) => chain.push(o),
+                Some(CellPayload::Block(b)) => chain.extend(b.into_iter().rev()),
                 _ => panic!("cell {cur}: command slot missing or holding a state"),
             }
             cur = self.next_of(mem, pid, cur);
         };
 
         // Step 5: recompute the state (oldest command first), apply my own
-        // command, publish the snapshot.
+        // command(s), publish the snapshot.
         let mut state = base;
         for o in chain.iter().rev() {
             state.apply(o);
         }
-        let resp = state.apply(op);
+        for op in ops {
+            out(state.apply(op));
+        }
         mem.data_write(pid, self.cells[cell].state, CellPayload::State(state));
         mem.safe_write(pid, self.cells[cell].has_state, 1);
 
         // Step 6: mark distance bits on the n cells behind me.
         self.mark_distance_bits(mem, pid, cell);
-        resp
     }
 }
 

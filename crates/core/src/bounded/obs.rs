@@ -32,14 +32,10 @@ pub struct CoreObs {
     /// that got appended between collection and its turn is filtered out,
     /// so the histogram matches work done, not work collected.
     pub combine_batch: sbu_obs::Histogram,
-    /// `core.batch_size`: commands carried by one appended group-commit
-    /// cell (the owner's block plus every packed member block), recorded
-    /// after packing validation.
+    /// `core.batch_size`: commands carried by one block cell (one
+    /// [`super::Universal::apply_batch`] call), recorded when the block is
+    /// published.
     pub batch_size: sbu_obs::Histogram,
-    /// `core.batch_return_wait`: response-flag re-reads a group-commit
-    /// member burned before a combiner served its block (or before it gave
-    /// up and self-appended — those record the full wait budget).
-    pub batch_return_wait: sbu_obs::Histogram,
 }
 
 impl CoreObs {
@@ -54,7 +50,6 @@ impl CoreObs {
             backoff_spins: registry.counter("core.backoff_spins"),
             combine_batch: registry.histogram("core.combine_batch"),
             batch_size: registry.histogram("core.batch_size"),
-            batch_return_wait: registry.histogram("core.batch_return_wait"),
         }
     }
 }

@@ -44,11 +44,9 @@ impl<S> Inner<S> {
         }
         local.grabs.push((c, 1));
         // Theorem 6.6's accounting: "each processor GRABs at most 3 cells
-        // at any moment"; a combiner additionally holds one grab per
-        // packed member block (at most n − 1) from pack to distribute.
-        // Anything beyond that is a protocol bug.
+        // at any moment". Anything beyond that is a protocol bug.
         debug_assert!(
-            local.grabs.len() <= if self.group_commit { self.n + 3 } else { 3 },
+            local.grabs.len() <= 3,
             "grab bound exceeded: {:?}",
             local
                 .grabs
@@ -142,11 +140,6 @@ impl<S> Inner<S> {
         mem.data_clear(pid, cell.state);
         mem.safe_write(pid, cell.has_cmd, 0);
         mem.safe_write(pid, cell.has_state, 0);
-        if let Some(g) = &cell.group {
-            mem.sticky_word_flush(pid, g.resp_claim);
-            mem.data_clear(pid, g.resp);
-            mem.safe_write(pid, g.has_resp, 0);
-        }
         for d in 0..self.n {
             mem.safe_write(pid, self.b(c, d), 0);
         }

@@ -50,12 +50,11 @@ pub use unbounded::UnboundedUniversal;
 /// of the object state *after* that command (Section 5: "the cells are read
 /// until it encounters a cell that holds a state instead of a command").
 ///
-/// Under [`bounded::UniversalConfig::group_commit`] a list carries the
-/// batch-shaped variants instead: one appended cell holds a *sequence* of
-/// commands (flat-combining at the state-cell level) and snapshots carry
-/// the per-processor applied-sequence map that makes replaying a batch
-/// idempotent. A list never mixes the two shapes — the mode is fixed when
-/// the object is built.
+/// A command slot holds either one command ([`Universal::apply`]) or a
+/// block of them ([`Universal::apply_batch`]); one list may hold both. A
+/// block's cell is appended by the same protocol as a single command's,
+/// and Def 3.1 lets that one append linearize the whole block, its
+/// commands back to back in order.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CellPayload<S: SequentialSpec> {
     /// The command stored by the invoking processor before appending.
@@ -63,68 +62,9 @@ pub enum CellPayload<S: SequentialSpec> {
     /// The state of the simulated object after applying the cell's command
     /// to everything behind it in the list.
     State(S),
-    /// Group-commit mode: the ordered batch of commands this cell carries
-    /// (the owner's own block, plus any blocks a combiner packed from the
-    /// announce array). Appending the cell linearizes every entry at once.
-    Batch(Vec<BatchEntry<S>>),
-    /// Group-commit mode: the state snapshot *and* the applied-sequence
-    /// map after folding this cell's batch into everything behind it.
-    BatchState(GroupSnapshot<S>),
-    /// Group-commit mode: per-entry return values a combiner distributed
-    /// back into a packed member's cell (`(seq, response)` for every entry
-    /// of that cell's batch), so the blocked owner completes without
-    /// appending or re-scanning.
-    Resp(Vec<(u64, S::Resp)>),
-}
-
-/// One command inside a [`CellPayload::Batch`] cell.
-///
-/// The `(pid, seq)` pair is the command's *logical identity*: each
-/// processor tickets its operations with a private monotone counter, and
-/// the fold applies an entry only when its `seq` is newer than the last
-/// applied sequence recorded for `pid` in the base snapshot. Duplicate
-/// appends of the same logical command (a member's cell packed by a
-/// combiner *and* self-appended after its bounded wait expired) are
-/// therefore harmless — the second copy folds to a no-op.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BatchEntry<S: SequentialSpec> {
-    /// The processor that invoked the command.
-    pub pid: u64,
-    /// The invoking processor's private ticket for the command.
-    pub seq: u64,
-    /// The command itself.
-    pub op: S::Op,
-}
-
-/// A group-commit state snapshot: the folded object state plus, per
-/// processor, the most recent `(seq, response)` pairs it has had applied
-/// (bounded to one batch worth per processor — a processor never has more
-/// than one block outstanding, so every response a blocked owner can still
-/// need is retained).
-#[derive(Debug, Clone, PartialEq)]
-pub struct GroupSnapshot<S: SequentialSpec> {
-    /// The object state after folding everything up to this cell.
-    pub state: S,
-    /// `applied[p]` = ascending `(seq, resp)` for processor `p`'s most
-    /// recently applied entries.
-    pub applied: Vec<Vec<(u64, S::Resp)>>,
-}
-
-impl<S: SequentialSpec> GroupSnapshot<S> {
-    /// The empty snapshot over `initial` for `n` processors (the anchor's
-    /// payload in group-commit mode).
-    pub fn initial(initial: S, n: usize) -> Self {
-        Self {
-            state: initial,
-            applied: vec![Vec::new(); n],
-        }
-    }
-
-    /// The newest applied sequence for `p` (0 = nothing applied yet;
-    /// tickets start at 1).
-    pub fn last_seq(&self, p: usize) -> u64 {
-        self.applied[p].last().map_or(0, |(s, _)| *s)
-    }
+    /// A block of commands stored by one invoking processor, applied in
+    /// order at the cell's append.
+    Block(Vec<S::Op>),
 }
 
 /// A linearizable implementation of the sequential object `S`, produced by

@@ -182,3 +182,89 @@ fn repeated_crash_recover_cycles_do_not_wedge_the_pool() {
         fx.obj.pool_size()
     );
 }
+
+/// A block interrupted mid-flight is re-executed whole by `recover`. P0
+/// publishes a block of three increments and fail-stops at a point swept
+/// from just after the block's `has_cmd` flag is raised to just before its
+/// state snapshot is written, so the crash lands before, inside and after
+/// the append and during the scan back. Recovery must apply the whole
+/// block exactly once: the next increments by both processors return 4
+/// and 5, and the counter then reads 5.
+#[test]
+fn crash_mid_block_recovers_the_whole_block_once() {
+    use sbu_mem::{AccessKind, LocId};
+    const BLOCK: usize = 3;
+    let block = [CounterOp::Inc; BLOCK];
+    let era_one = |fx: &Fixture, adversary: Box<dyn sbu_sim::Adversary>| {
+        let (obj, dmem) = (fx.obj.clone(), Arc::clone(&fx.dmem));
+        run_uniform(
+            &fx.sim,
+            adversary,
+            RunOptions::default(),
+            2,
+            move |_, pid| {
+                if pid == Pid(0) {
+                    obj.apply_batch(&*dmem, pid, &block);
+                }
+            },
+        )
+    };
+
+    // Calibrate on a crash-free run: P0's first data write is the block,
+    // its next write is the `has_cmd` flag, and its second data location
+    // written is the state snapshot.
+    let solo = era_one(&fixture(2), Box::new(RoundRobin::new()));
+    let log = &solo.access_log;
+    let is_data_write =
+        |i: usize| matches!(log[i].loc, LocId::Data(_)) && log[i].kind == AccessKind::Write;
+    let cmd = (0..log.len())
+        .find(|&i| is_data_write(i))
+        .expect("block written");
+    let has_cmd = (cmd..log.len())
+        .find(|&i| matches!(log[i].loc, LocId::Safe(_)))
+        .expect("has_cmd raised");
+    let published = (has_cmd..log.len())
+        .take_while(|&i| log[i].loc == log[has_cmd].loc)
+        .last()
+        .expect("non-empty")
+        + 1;
+    let state = (published..log.len())
+        .find(|&i| is_data_write(i) && log[i].loc != log[cmd].loc)
+        .expect("state written");
+    assert!(
+        state > published + 20,
+        "the append lies between publish and state"
+    );
+
+    for at in published..=state {
+        let fx = fixture(2);
+        let out = era_one(
+            &fx,
+            Box::new(CrashPlan::new(vec![(Pid(0), at as u64)], RoundRobin::new())),
+        );
+        assert!(out.outcomes[0].is_crashed(), "crash at step {at} missed");
+        fx.dmem.crash::<CellPayload<CounterSpec>>(&[Pid(0)]);
+        fx.dmem.restart(Pid(0));
+        fx.obj.recover(&*fx.dmem, Pid(0));
+        assert!(
+            fx.dmem.violations().is_empty(),
+            "{:?}",
+            fx.dmem.violations()
+        );
+
+        let mut next: Vec<u64> = [Pid(1), Pid(0)]
+            .into_iter()
+            .map(|p| fx.obj.apply(&*fx.dmem, p, &CounterOp::Inc))
+            .collect();
+        next.sort_unstable();
+        assert_eq!(
+            next,
+            vec![BLOCK as u64 + 1, BLOCK as u64 + 2],
+            "crash at step {at}: the recovered block did not apply exactly once"
+        );
+        assert_eq!(
+            fx.obj.apply(&*fx.dmem, Pid(1), &CounterOp::Read),
+            BLOCK as u64 + 2
+        );
+    }
+}

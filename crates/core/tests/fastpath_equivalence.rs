@@ -13,12 +13,14 @@
 //! * a property test drives the combining helper with random schedules and
 //!   checks no announced command is ever dropped or applied twice.
 //!
-//! Group-commit batch apply (`UniversalConfig::group_commit`) rides the
-//! same harness: the batched construction must reach exactly the paper's
-//! outcome set (DPOR on 2–3 procs plus the random sweep), a property test
-//! checks blocks are never dropped, duplicated or reordered within one
-//! owner, a crash torture checks a crashed combiner's batch is never
-//! *partially* applied, and a pool-exhaustion test checks the combining
+//! Block apply (`Universal::apply_batch`, a block of commands in one cell)
+//! rides the same harness: increments submitted as blocks must reach
+//! exactly the paper's outcome set (DPOR on 2–3 procs plus the random
+//! sweep), a property test checks blocks are never dropped, duplicated or
+//! reordered within one owner, a crash torture checks a crashed
+//! processor's block is never *partially* applied, a long random sweep
+//! mixes single commands and blocks in one list while cycling the cell
+//! pool several times, and a pool-exhaustion test checks the combining
 //! pass under GFC pressure still helps exactly the announced set.
 
 use proptest::prelude::*;
@@ -32,13 +34,24 @@ use std::collections::BTreeSet;
 
 type Mem = SimMem<CellPayload<CounterSpec>>;
 
-/// One episode: `n` processors, one `Inc` each, under the given adversary.
-/// The verdict (a schedule-equivalence invariant: responses and final
-/// state only) checks the responses form a permutation of `1..=n`; the
-/// reached response vector is added to `outcomes`.
+/// How an episode's processors submit their increment.
+#[derive(Debug, Clone, Copy)]
+enum Submit {
+    /// `apply`.
+    Apply,
+    /// A one-command `apply_batch` block.
+    Block,
+}
+
+/// One episode: `n` processors, one `Inc` each (submitted as `submit`),
+/// under the given adversary. The verdict (a schedule-equivalence
+/// invariant: responses and final state only) checks the responses form a
+/// permutation of `1..=n`; the reached response vector is added to
+/// `outcomes`.
 fn episode(
     n: usize,
     config: UniversalConfig,
+    submit: Submit,
     adversary: Box<dyn Adversary>,
     outcomes: &RefCell<BTreeSet<Vec<u64>>>,
 ) -> EpisodeResult {
@@ -54,7 +67,10 @@ fn episode(
             max_steps: 10_000_000,
         },
         n,
-        move |mem, pid| obj2.apply(mem, pid, &CounterOp::Inc),
+        move |mem, pid| match submit {
+            Submit::Apply => obj2.apply(mem, pid, &CounterOp::Inc),
+            Submit::Block => obj2.apply_batch(mem, pid, &[CounterOp::Inc])[0],
+        },
     );
     let verdict = (|| {
         if !out.violations.is_empty() {
@@ -77,12 +93,18 @@ fn episode(
 
 /// DPOR-explore a bounded prefix; panic on any violating schedule, return
 /// the outcome set reached.
-fn dpor_outcome_set(n: usize, config: UniversalConfig, budget: usize) -> BTreeSet<Vec<u64>> {
+fn dpor_outcome_set(
+    n: usize,
+    config: UniversalConfig,
+    submit: Submit,
+    budget: usize,
+) -> BTreeSet<Vec<u64>> {
     let outcomes: RefCell<BTreeSet<Vec<u64>>> = RefCell::new(BTreeSet::new());
     let report = Explorer::new(budget).explore_dpor(|script| {
         episode(
             n,
             config,
+            submit,
             Box::new(Scripted::new(script.to_vec())),
             &outcomes,
         )
@@ -94,10 +116,21 @@ fn dpor_outcome_set(n: usize, config: UniversalConfig, budget: usize) -> BTreeSe
 
 /// Run `seeds` random schedules; panic on any violating run, return the
 /// outcome set reached.
-fn random_outcome_set(n: usize, config: UniversalConfig, seeds: u64) -> BTreeSet<Vec<u64>> {
+fn random_outcome_set(
+    n: usize,
+    config: UniversalConfig,
+    submit: Submit,
+    seeds: u64,
+) -> BTreeSet<Vec<u64>> {
     let outcomes: RefCell<BTreeSet<Vec<u64>>> = RefCell::new(BTreeSet::new());
     for seed in 0..seeds {
-        let result = episode(n, config, Box::new(RandomAdversary::new(seed)), &outcomes);
+        let result = episode(
+            n,
+            config,
+            submit,
+            Box::new(RandomAdversary::new(seed)),
+            &outcomes,
+        );
         if let Err(msg) = result.verdict {
             panic!("seed {seed}: {msg}");
         }
@@ -134,8 +167,13 @@ fn all_permutations(n: usize) -> BTreeSet<Vec<u64>> {
 #[test]
 fn dpor_outcome_sets_match_on_two_procs() {
     let budget = 150;
-    let fast = dpor_outcome_set(2, UniversalConfig::for_procs(2), budget);
-    let paper = dpor_outcome_set(2, UniversalConfig::for_procs(2).paper_scans(), budget);
+    let fast = dpor_outcome_set(2, UniversalConfig::for_procs(2), Submit::Apply, budget);
+    let paper = dpor_outcome_set(
+        2,
+        UniversalConfig::for_procs(2).paper_scans(),
+        Submit::Apply,
+        budget,
+    );
     assert_eq!(fast, paper, "fast paths changed the reachable outcomes");
 }
 
@@ -144,8 +182,13 @@ fn dpor_outcome_sets_match_on_two_procs() {
 #[test]
 fn dpor_outcome_sets_match_on_three_procs() {
     let budget = 40;
-    let fast = dpor_outcome_set(3, UniversalConfig::for_procs(3), budget);
-    let paper = dpor_outcome_set(3, UniversalConfig::for_procs(3).paper_scans(), budget);
+    let fast = dpor_outcome_set(3, UniversalConfig::for_procs(3), Submit::Apply, budget);
+    let paper = dpor_outcome_set(
+        3,
+        UniversalConfig::for_procs(3).paper_scans(),
+        Submit::Apply,
+        budget,
+    );
     assert_eq!(fast, paper, "fast paths changed the reachable outcomes");
 }
 
@@ -157,8 +200,13 @@ fn dpor_outcome_sets_match_on_three_procs() {
 fn random_schedules_reach_identical_complete_outcome_sets() {
     for n in [2usize, 3] {
         let seeds = 120;
-        let fast = random_outcome_set(n, UniversalConfig::for_procs(n), seeds);
-        let paper = random_outcome_set(n, UniversalConfig::for_procs(n).paper_scans(), seeds);
+        let fast = random_outcome_set(n, UniversalConfig::for_procs(n), Submit::Apply, seeds);
+        let paper = random_outcome_set(
+            n,
+            UniversalConfig::for_procs(n).paper_scans(),
+            Submit::Apply,
+            seeds,
+        );
         assert_eq!(fast, paper, "n={n}: outcome sets diverge");
         assert_eq!(
             fast,
@@ -168,48 +216,40 @@ fn random_schedules_reach_identical_complete_outcome_sets() {
     }
 }
 
-/// The batched configuration used throughout: group commit on, a small
-/// block cap, and a tiny member wait budget (every response-flag re-read
-/// is a scheduled step under the simulator).
-fn batched(n: usize) -> UniversalConfig {
-    UniversalConfig::for_procs(n)
-        .group_commit(true)
-        .with_batch_cap(4)
-        .with_return_spin(2)
-}
-
-/// Two processors: the group-commit construction reaches exactly the
-/// paper's outcome set under systematic exploration. The explored
-/// schedules include the full combining handshake — one processor packing
-/// the other's announced block, folding it, and distributing the envelope.
+/// Two processors: increments submitted as one-command blocks reach
+/// exactly the paper's outcome set under systematic exploration. The
+/// explored schedules include one processor helping the other's announced
+/// block cell into the list.
 #[test]
-fn dpor_outcome_sets_match_batched_vs_paper_on_two_procs() {
+fn dpor_outcome_sets_match_blocks_vs_paper_on_two_procs() {
     let budget = 150;
-    let batch = dpor_outcome_set(2, batched(2), budget);
-    let paper = dpor_outcome_set(2, UniversalConfig::for_procs(2).paper_scans(), budget);
-    assert_eq!(batch, paper, "group commit changed the reachable outcomes");
+    let config = UniversalConfig::for_procs(2);
+    let blocks = dpor_outcome_set(2, config, Submit::Block, budget);
+    let paper = dpor_outcome_set(2, config.paper_scans(), Submit::Apply, budget);
+    assert_eq!(blocks, paper, "blocks changed the reachable outcomes");
 }
 
 /// Three processors: same property, smaller budget.
 #[test]
-fn dpor_outcome_sets_match_batched_vs_paper_on_three_procs() {
+fn dpor_outcome_sets_match_blocks_vs_paper_on_three_procs() {
     let budget = 40;
-    let batch = dpor_outcome_set(3, batched(3), budget);
-    let paper = dpor_outcome_set(3, UniversalConfig::for_procs(3).paper_scans(), budget);
-    assert_eq!(batch, paper, "group commit changed the reachable outcomes");
+    let config = UniversalConfig::for_procs(3);
+    let blocks = dpor_outcome_set(3, config, Submit::Block, budget);
+    let paper = dpor_outcome_set(3, config.paper_scans(), Submit::Apply, budget);
+    assert_eq!(blocks, paper, "blocks changed the reachable outcomes");
 }
 
-/// Random schedules: the batched outcome set is complete (every
-/// linearization order of the increments) and identical to the paper's.
+/// Random schedules: the outcome set of increments submitted as blocks is
+/// complete (every linearization order of the increments).
 #[test]
-fn random_schedules_batched_reaches_complete_outcome_set() {
+fn random_schedules_blocks_reach_complete_outcome_set() {
     for n in [2usize, 3] {
         let seeds = 120;
-        let batch = random_outcome_set(n, batched(n), seeds);
+        let blocks = random_outcome_set(n, UniversalConfig::for_procs(n), Submit::Block, seeds);
         assert_eq!(
-            batch,
+            blocks,
             all_permutations(n),
-            "n={n}: group commit lost or invented a linearization order"
+            "n={n}: blocks lost or invented a linearization order"
         );
     }
 }
@@ -217,10 +257,10 @@ fn random_schedules_batched_reaches_complete_outcome_set() {
 /// Crash-mid-batch torture: across ≥100 seeded random schedules with
 /// seeded crashes, a crashed processor's *block* (submitted as one
 /// `apply_batch` call) is either fully applied or not applied at all —
-/// never split. Survivors always complete (a member blocked on a dead
-/// combiner falls back and self-serves: "fully re-announced"), their
-/// responses are distinct and per-processor increasing, and the final
-/// counter value accounts for whole blocks only.
+/// never split. Survivors always complete (a crashed processor's announced
+/// block is helped in or never appended), their responses are distinct
+/// and per-processor increasing, and the final counter value accounts for
+/// whole blocks only.
 #[test]
 fn crash_mid_batch_never_applies_a_partial_block() {
     const N: usize = 3;
@@ -228,9 +268,7 @@ fn crash_mid_batch_never_applies_a_partial_block() {
     let mut crashed_total = 0usize;
     for seed in 0..120u64 {
         let mut mem: Mem = SimMem::new(N);
-        let obj = Universal::builder(N)
-            .config(batched(N))
-            .build(&mut mem, CounterSpec::new());
+        let obj = Universal::builder(N).build(&mut mem, CounterSpec::new());
         let obj2 = obj.clone();
         let responses: std::sync::Arc<parking_lot::Mutex<Vec<Vec<u64>>>> =
             std::sync::Arc::new(parking_lot::Mutex::new(vec![Vec::new(); N]));
@@ -313,6 +351,82 @@ fn crash_mid_batch_never_applies_a_partial_block() {
         crashed_total >= 10,
         "torture too tame: only {crashed_total} crashes across all seeds"
     );
+}
+
+/// Mixed lists over many pool cycles: under random schedules, processors
+/// interleave `apply` and `apply_batch` (blocks of 1–3) on one counter
+/// until the 4n² + 8n + 4 pool has been cycled at least three times, so
+/// every cell is reclaimed and re-used while single commands and blocks
+/// share the list. The responses are exactly `1..=total`, each processor's
+/// strictly increase, and each block's are consecutive (its commands
+/// linearize back to back at the block's append).
+#[test]
+fn mixed_commands_and_blocks_cycle_the_pool() {
+    for (n, seeds) in [(2usize, 6u64), (3, 3)] {
+        let pool = UniversalConfig::for_procs(n).cells;
+        // Every call takes one cell.
+        let calls = 3 * pool / n + 1;
+        for seed in 0..seeds {
+            let mut mem: Mem = SimMem::new(n);
+            let obj = Universal::builder(n).build(&mut mem, CounterSpec::new());
+            let obj2 = obj.clone();
+            let groups: std::sync::Arc<parking_lot::Mutex<Vec<Vec<Vec<u64>>>>> =
+                std::sync::Arc::new(parking_lot::Mutex::new(vec![Vec::new(); n]));
+            let groups2 = std::sync::Arc::clone(&groups);
+            let out = run_uniform(
+                &mem,
+                Box::new(RandomAdversary::new(seed)),
+                RunOptions {
+                    max_steps: 50_000_000,
+                },
+                n,
+                move |mem, pid| {
+                    for i in 0..calls {
+                        // 0 = one `apply`, 1..=3 = a block of that length.
+                        let len = (i * 7 + pid.0 * 3 + seed as usize) % 4;
+                        let rs = if len == 0 {
+                            vec![obj2.apply(mem, pid, &CounterOp::Inc)]
+                        } else {
+                            obj2.apply_batch(mem, pid, &vec![CounterOp::Inc; len])
+                        };
+                        groups2.lock()[pid.0].push(rs);
+                    }
+                },
+            );
+            assert!(
+                out.violations.is_empty(),
+                "n={n} seed {seed}: {:?}",
+                out.violations
+            );
+            assert!(!out.aborted, "n={n} seed {seed}: aborted (wait-freedom?)");
+
+            let per_proc = groups.lock().clone();
+            let mut all: Vec<u64> = Vec::new();
+            for (i, gs) in per_proc.iter().enumerate() {
+                assert_eq!(gs.len(), calls, "n={n} seed {seed}: p{i} lost a call");
+                for g in gs {
+                    assert!(
+                        g.windows(2).all(|w| w[1] == w[0] + 1),
+                        "n={n} seed {seed}: p{i}'s block {g:?} is not consecutive"
+                    );
+                }
+                let mine: Vec<u64> = gs.iter().flatten().copied().collect();
+                assert!(
+                    mine.windows(2).all(|w| w[0] < w[1]),
+                    "n={n} seed {seed}: p{i}'s responses not strictly increasing"
+                );
+                all.extend(mine);
+            }
+            let total = all.len() as u64;
+            all.sort_unstable();
+            assert_eq!(
+                all,
+                (1..=total).collect::<Vec<_>>(),
+                "n={n} seed {seed}: a command was dropped or duplicated"
+            );
+            assert_eq!(obj.apply(&mem, sbu_mem::Pid(0), &CounterOp::Read), total);
+        }
+    }
 }
 
 /// Combining under GFC exhaustion: with the pool squeezed to 2n + 4 cells —
@@ -451,13 +565,12 @@ proptest! {
         prop_assert_eq!(read, total as u64);
     }
 
-    /// Group-commit soundness: random schedules over blocks submitted via
+    /// Block soundness: random schedules over blocks submitted via
     /// `apply_batch` (chunk sizes drawn per case) never drop, duplicate or
     /// reorder one owner's commands — the response multiset is exactly
     /// {1, …, total}, each processor's responses strictly increase, and
-    /// the final total matches. This exercises every protocol role:
-    /// combiners packing announced blocks, members served by envelope, and
-    /// members falling back after the bounded wait.
+    /// the final total matches. This exercises blocks appended by their
+    /// owner and blocks helped in by another processor.
     #[test]
     fn batched_blocks_never_drop_duplicate_or_reorder(
         n in 2usize..4,
@@ -466,9 +579,7 @@ proptest! {
         script in prop::collection::vec(0usize..3, 0..160),
     ) {
         let mut mem: Mem = SimMem::new(n);
-        let obj = Universal::builder(n)
-            .config(batched(n))
-            .build(&mut mem, CounterSpec::new());
+        let obj = Universal::builder(n).build(&mut mem, CounterSpec::new());
         let obj2 = obj.clone();
         let responses: std::sync::Arc<parking_lot::Mutex<Vec<Vec<u64>>>> =
             std::sync::Arc::new(parking_lot::Mutex::new(vec![Vec::new(); n]));

@@ -6,7 +6,7 @@ use sbu_core::objects::{WaitFreeBank, WaitFreeCas, WaitFreeCounter, WaitFreeQueu
 use sbu_core::{CellPayload, Universal};
 use sbu_mem::native::NativeMem;
 use sbu_mem::Pid;
-use sbu_spec::specs::{BankResp, BankSpec, CasSpec, CounterSpec, QueueSpec};
+use sbu_spec::specs::{BankResp, BankSpec, CasSpec, CounterOp, CounterSpec, QueueSpec};
 use std::sync::Arc;
 
 const THREADS: usize = 4;
@@ -40,6 +40,55 @@ fn counter_total_is_exact() {
     let expect: Vec<u64> = (1..=(THREADS * per) as u64).collect();
     assert_eq!(seen, expect);
     assert_eq!(counter.read(&*mem, Pid(0)), (THREADS * per) as u64);
+}
+
+/// Single commands and blocks of 1–8 share one list on real threads: 4
+/// threads interleave `apply` and `apply_batch` on one counter, 200 times
+/// over fresh objects. Every response is distinct and the set is exactly
+/// `1..=N`, each block's responses are consecutive, and the counter reads
+/// N afterwards — no acknowledged command is lost or applied twice.
+#[test]
+fn block_counter_total_is_exact() {
+    const CALLS: usize = 12;
+    for rep in 0..200 {
+        let mut mem: NativeMem<CellPayload<CounterSpec>> = NativeMem::new();
+        let obj = Universal::builder(THREADS).build(&mut mem, CounterSpec::new());
+        let mem = Arc::new(mem);
+        let mut seen: Vec<u64> = std::thread::scope(|s| {
+            (0..THREADS)
+                .map(|i| {
+                    let mem = Arc::clone(&mem);
+                    let obj = obj.clone();
+                    s.spawn(move || {
+                        let mut got = Vec::new();
+                        for c in 0..CALLS {
+                            // 0 = one `apply`, 1..=8 = a block of that length.
+                            let len = (c * 5 + i * 3 + rep) % 9;
+                            if len == 0 {
+                                got.push(obj.apply(&*mem, Pid(i), &CounterOp::Inc));
+                                continue;
+                            }
+                            let rs = obj.apply_batch(&*mem, Pid(i), &vec![CounterOp::Inc; len]);
+                            assert_eq!(rs.len(), len, "rep {rep}: one response per command");
+                            assert!(
+                                rs.windows(2).all(|w| w[1] == w[0] + 1),
+                                "rep {rep}: block responses {rs:?} not consecutive"
+                            );
+                            got.extend(rs);
+                        }
+                        got
+                    })
+                })
+                .collect::<Vec<_>>()
+                .into_iter()
+                .flat_map(|h| h.join().unwrap())
+                .collect()
+        });
+        let n = seen.len() as u64;
+        seen.sort_unstable();
+        assert_eq!(seen, (1..=n).collect::<Vec<_>>(), "rep {rep}");
+        assert_eq!(obj.apply(&*mem, Pid(0), &CounterOp::Read), n, "rep {rep}");
+    }
 }
 
 #[test]
@@ -180,7 +229,6 @@ fn mixed_backends_same_results_sequentially() {
     // Sanity: bounded vs unbounded vs lock-based agree on a sequential
     // script (differential test).
     use sbu_core::{SpinLockUniversal, UnboundedUniversal};
-    use sbu_spec::specs::CounterOp;
     let script: Vec<CounterOp> = (0..30)
         .map(|i| match i % 4 {
             0 | 1 => CounterOp::Inc,

@@ -2,9 +2,8 @@
 //! its Θ(n²) pool indefinitely, while the unbounded baseline consumes one
 //! cell per operation forever.
 
-use sbu_core::bounded::UniversalConfig;
 use sbu_core::{CellPayload, UnboundedUniversal, Universal};
-use sbu_mem::Pid;
+use sbu_mem::{AccessKind, LocId, Pid};
 use sbu_sim::{
     run_uniform, Adversary, Decision, RandomAdversary, RoundRobin, RunOptions, RunOutcome, SimMem,
 };
@@ -188,14 +187,21 @@ impl Adversary for Phased {
     }
 }
 
-/// P0 applies one increment and P1 three, under `legs`; the counter must
-/// read 4 afterwards.
-fn two_proc_episode(config: UniversalConfig, legs: Vec<Leg>) -> RunOutcome<()> {
+/// How an episode's processors submit their increments.
+#[derive(Debug, Clone, Copy)]
+enum Submit {
+    /// One `apply` per increment.
+    Apply,
+    /// One single-command `apply_batch` block per increment.
+    Block,
+}
+
+/// P0 applies one increment and P1 `p1_ops`, each submitted as `submit`,
+/// under `legs`; the counter must read `1 + p1_ops` afterwards.
+fn two_proc_episode(submit: Submit, p1_ops: usize, legs: Vec<Leg>) -> RunOutcome<()> {
     let n = 2;
     let mut mem: SimMem<CellPayload<CounterSpec>> = SimMem::new(n);
-    let obj = Universal::builder(n)
-        .config(config)
-        .build(&mut mem, CounterSpec::new());
+    let obj = Universal::builder(n).build(&mut mem, CounterSpec::new());
     let p1_done = Arc::new(AtomicUsize::new(0));
     let adversary = Phased {
         legs,
@@ -209,8 +215,15 @@ fn two_proc_episode(config: UniversalConfig, legs: Vec<Leg>) -> RunOutcome<()> {
         RunOptions::default(),
         n,
         move |mem, pid| {
-            for _ in 0..if pid.0 == 1 { 3 } else { 1 } {
-                obj2.apply(mem, pid, &CounterOp::Inc);
+            for _ in 0..if pid.0 == 1 { p1_ops } else { 1 } {
+                match submit {
+                    Submit::Apply => {
+                        obj2.apply(mem, pid, &CounterOp::Inc);
+                    }
+                    Submit::Block => {
+                        obj2.apply_batch(mem, pid, &[CounterOp::Inc]);
+                    }
+                }
                 if pid.0 == 1 {
                     p1_done.fetch_add(1, Ordering::SeqCst);
                 }
@@ -218,7 +231,11 @@ fn two_proc_episode(config: UniversalConfig, legs: Vec<Leg>) -> RunOutcome<()> {
         },
     );
     out.assert_clean();
-    assert_eq!(obj.apply(&mem, Pid(0), &CounterOp::Read), 4);
+    assert_eq!(
+        obj.apply(&mem, Pid(0), &CounterOp::Read),
+        1 + p1_ops as u64,
+        "an acknowledged increment was lost"
+    );
     out
 }
 
@@ -233,22 +250,70 @@ fn two_proc_episode(config: UniversalConfig, legs: Vec<Leg>) -> RunOutcome<()> {
 /// `Next` for most of the sampled cut points.
 #[test]
 fn distance_bit_walk_never_follows_a_reclaimed_next() {
-    for config in [
-        UniversalConfig::for_procs(2),
-        UniversalConfig::for_procs(2).group_commit(true),
-    ] {
+    for submit in [Submit::Apply, Submit::Block] {
         // P0's first steps of op 2 are the same in every schedule below:
         // P1's op 1, then P0 alone.
-        let op2_steps = two_proc_episode(config, vec![Leg::P1Until(1)]).steps_per_proc[0];
+        let op2_steps = two_proc_episode(submit, 3, vec![Leg::P1Until(1)]).steps_per_proc[0];
         for stop in op2_steps.saturating_sub(8)..op2_steps {
             for op4_steps in (16..=96).step_by(16) {
                 two_proc_episode(
-                    config,
+                    submit,
+                    3,
                     vec![
                         Leg::P1Until(1),
                         Leg::Steps(0, stop),
                         Leg::P1Until(2),
                         Leg::Steps(0, 1),
+                        Leg::Steps(1, op4_steps),
+                    ],
+                );
+            }
+        }
+    }
+}
+
+/// Regression for the free-cell splice that flat-combining group commit
+/// allowed (`batch slot missing or mis-shaped`, or acknowledged increments
+/// missing from the count). P0 finds head H, grabs it, and stops inside
+/// APPEND-INNER just before jamming `H.Prev`. P1 then completes three
+/// operations, so the cell W that won `H.Prev` gets its n = 2 distance
+/// marks, and runs part of a fourth, whose GFC reclaims W and reuses it.
+/// Then P0 resumes, loses `H.Prev` to W, and its lost-race branch grabs W.
+/// Under group commit P0's cell was never announced, so nothing had
+/// appended it; the grab succeeded on the reclaimed W and P0 jammed
+/// `W.Next = H`, linking a free or re-used cell to a stale head. On the
+/// paper's path P0's cell is announced, P1 helps it in right after W, and
+/// W's first mark is P0's own step 6, so W cannot be reclaimed while P0 is
+/// stopped (Lemma 6.5) and the lost-race branch finds P0's cell already
+/// appended.
+///
+/// P0's stop is swept over the steps it holds the grab on H before the
+/// jam (the jam is P0's second sticky-word write: the first claims its
+/// cell), and P1's stop over the start of its fourth operation. Flat
+/// combining failed 96 of 964 such cut points (P1 stopped 48–95 steps into
+/// its fourth block, at the last two P0 stops).
+#[test]
+fn lost_race_never_grabs_a_reclaimed_winner() {
+    for submit in [Submit::Apply, Submit::Block] {
+        // With no legs P0 runs its whole operation first.
+        let solo = two_proc_episode(submit, 4, Vec::new());
+        let prev_jam = solo
+            .access_log
+            .iter()
+            .take(solo.steps_per_proc[0] as usize)
+            .enumerate()
+            .filter(|(_, a)| matches!(a.loc, LocId::StickyWord(_)) && a.kind == AccessKind::Write)
+            .nth(1)
+            .expect("P0 claims its cell, then jams H.Prev")
+            .0 as u64;
+        for stop in prev_jam - 3..=prev_jam {
+            for op4_steps in (0..=120).step_by(8) {
+                two_proc_episode(
+                    submit,
+                    4,
+                    vec![
+                        Leg::Steps(0, stop),
+                        Leg::P1Until(3),
                         Leg::Steps(1, op4_steps),
                     ],
                 );

@@ -10,10 +10,10 @@
 //! them), so the Θ(n²) pool collapses to its constant floor: 16 cells, or
 //! 181 word registers and 32 data cells. They live in the shard's
 //! [`NativeMem::single_owner`] arena, packed with no cache-line padding,
-//! since no other thread touches them. A key then costs ~6.2 KB of resident
-//! memory (~7.3 KB in a [`DurableShard`]; `tests/footprint.rs`
+//! since no other thread touches them. A key then costs ~5.4 KB of resident
+//! memory (~6.5 KB in a [`DurableShard`]; `tests/footprint.rs`
 //! guards both), against ~43 KB with a register per 128 bytes as a shared
-//! arena lays them out: 16 Ki keys take ~100 MB, and 1 M keys ~6 GB.
+//! arena lays them out: 16 Ki keys take ~90 MB, and 1 M keys ~5.4 GB.
 //!
 //! The shard is generic over its word space `M`: the plain service uses
 //! [`NativeMem`] (volatile — state dies with the worker), while the
@@ -22,7 +22,7 @@
 //! crash–restart protocol and recover every key.
 
 use crate::wire::WireCodec;
-use sbu_core::{bounded::UniversalConfig, CellPayload, Universal};
+use sbu_core::{CellPayload, Universal};
 use sbu_mem::{DataMem, DurableMem, NativeMem, Pid};
 use std::collections::HashMap;
 
@@ -39,8 +39,8 @@ pub struct Shard<S: WireCodec, M = NativeMem<CellPayload<S>>> {
     objects: HashMap<u64, Universal<S>>,
     /// Operations applied by this shard (feeds `service.shard_imbalance`).
     ops: u64,
-    /// Build per-key instances in group-commit mode so a block of ops for
-    /// one key commits as a single append ([`Shard::apply_batch`]).
+    /// Commit a block of ops for one key as a single append
+    /// ([`Shard::apply_batch`]).
     group_commit: bool,
 }
 
@@ -78,11 +78,9 @@ where
         }
     }
 
-    /// Build per-key instances with [`UniversalConfig::group_commit`], so
-    /// [`Shard::apply_batch`] commits a block of ops for one key as a
-    /// single list append. Applies to keys materialized *after* the call;
-    /// set it before the first touch. The service's workers apply per
-    /// frame and never set it.
+    /// Make [`Shard::apply_batch`] commit a block of ops for one key as a
+    /// single list append ([`Universal::apply_batch`]). The service's
+    /// workers apply per frame and never set it.
     pub fn group_commit(mut self, on: bool) -> Self {
         self.group_commit = on;
         self
@@ -91,10 +89,7 @@ where
     /// Materialize the object at `key` if this is its first touch.
     fn materialize(&mut self, key: u64) {
         if !self.objects.contains_key(&key) {
-            let config = UniversalConfig::for_procs(1).group_commit(self.group_commit);
-            let built = Universal::builder(1)
-                .config(config)
-                .build(&mut self.mem, self.template.clone());
+            let built = Universal::builder(1).build(&mut self.mem, self.template.clone());
             self.objects.insert(key, built);
         }
     }

@@ -18,8 +18,9 @@ usage: stress [options]
   --ops N            total operations, split across threads (default 40000)
   --seed N           master seed (default 42)
   --workload W       sticky|jam|election|consensus-sticky|universal-counter|
-                     universal-queue|all (default sticky); with
-                     --crash-restart: recoverable-jam|recoverable-counter|all
+                     universal-queue|universal-block|all (default sticky);
+                     with --crash-restart:
+                     recoverable-jam|recoverable-counter|all
   --objects N        independent object instances (default 4)
   --profile P        hot|spread contention profile (default hot)
   --inject I         none|torn-jam|stale-read fault injection; sticky-only

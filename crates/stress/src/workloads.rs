@@ -40,11 +40,15 @@ pub enum Workload {
     UniversalCounter,
     /// Bounded universal construction wrapping a FIFO queue.
     UniversalQueue,
+    /// Bounded universal construction wrapping a counter, with single
+    /// commands and one-command blocks in one list: even pids submit each
+    /// op as a block (`apply_batch(&[op])`), odd pids through `apply`.
+    UniversalBlock,
 }
 
 impl Workload {
     /// All workloads, for `--workload all` style iteration.
-    pub fn all() -> [Workload; 6] {
+    pub fn all() -> [Workload; 7] {
         [
             Workload::Sticky,
             Workload::Jam,
@@ -52,6 +56,7 @@ impl Workload {
             Workload::ConsensusSticky,
             Workload::UniversalCounter,
             Workload::UniversalQueue,
+            Workload::UniversalBlock,
         ]
     }
 }
@@ -66,9 +71,10 @@ impl std::str::FromStr for Workload {
             "consensus-sticky" => Ok(Workload::ConsensusSticky),
             "universal-counter" => Ok(Workload::UniversalCounter),
             "universal-queue" => Ok(Workload::UniversalQueue),
+            "universal-block" => Ok(Workload::UniversalBlock),
             other => Err(format!(
-                "unknown workload {other:?} \
-                 (sticky|jam|election|consensus-sticky|universal-counter|universal-queue)"
+                "unknown workload {other:?} (sticky|jam|election|consensus-sticky|\
+                 universal-counter|universal-queue|universal-block)"
             )),
         }
     }
@@ -83,6 +89,7 @@ impl std::fmt::Display for Workload {
             Workload::ConsensusSticky => "consensus-sticky",
             Workload::UniversalCounter => "universal-counter",
             Workload::UniversalQueue => "universal-queue",
+            Workload::UniversalBlock => "universal-block",
         };
         write!(f, "{s}")
     }
@@ -341,7 +348,8 @@ pub fn run_workload(workload: Workload, cfg: &StressConfig, inject: Inject) -> T
                 |rng, _, _| gen_sticky_op(rng),
             )
         }
-        Workload::UniversalCounter => {
+        Workload::UniversalCounter | Workload::UniversalBlock => {
+            let blocks = workload == Workload::UniversalBlock;
             let mut mem: NativeMem<CellPayload<CounterSpec>> = NativeMem::new();
             mem.attach_obs(&registry);
             let counters: Vec<Universal<CounterSpec>> = (0..cfg.objects)
@@ -356,7 +364,13 @@ pub fn run_workload(workload: Workload, cfg: &StressConfig, inject: Inject) -> T
                 .iter()
                 .map(|c| StressObject {
                     init: CounterSpec::new(),
-                    exec: Box::new(move |pid, op| c.apply(mem, pid, op)),
+                    exec: Box::new(move |pid, op| {
+                        if blocks && pid.0 % 2 == 0 {
+                            c.apply_batch(mem, pid, std::slice::from_ref(op))[0]
+                        } else {
+                            c.apply(mem, pid, op)
+                        }
+                    }),
                 })
                 .collect();
             torture(

@@ -24,6 +24,7 @@ fn every_workload_linearizes_briefly() {
         (Workload::ConsensusSticky, 200),
         (Workload::UniversalCounter, 48),
         (Workload::UniversalQueue, 48),
+        (Workload::UniversalBlock, 48),
     ] {
         let report = run_workload(w, &cfg(3, ops, 42), Inject::None);
         report.assert_clean();
@@ -99,7 +100,7 @@ fn reports_are_seed_deterministic_in_op_counts() {
 fn full_torture_all_workloads() {
     for w in Workload::all() {
         let ops = match w {
-            Workload::UniversalCounter | Workload::UniversalQueue => 400,
+            Workload::UniversalCounter | Workload::UniversalQueue | Workload::UniversalBlock => 400,
             _ => 5_000,
         };
         let mut c = StressConfig::new(8, ops, 0xC0FFEE);

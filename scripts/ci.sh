@@ -59,9 +59,11 @@ for f in tests/corpus/*.sbu-sched; do
     }
 done
 
-step "native stress smoke (deterministic seed, online monitor)"
+step "native stress smoke (deterministic seed, online monitor; universal-block mixes apply and apply_batch in one list)"
 cargo run --release --quiet --offline --example stress -- \
     --threads 4 --ops 20000 --seed 7
+cargo run --release --quiet --offline --example stress -- \
+    --workload universal-block --threads 4 --ops 4000 --seed 7
 cargo run --release --quiet --offline --example stress -- \
     --threads 4 --ops 8000 --seed 7 --inject torn-jam
 obs_verdict=$(cargo run --release --quiet --offline --features obs --example stress -- \
@@ -110,7 +112,7 @@ else
     echo "benchmarks/BENCH_e8_baseline.json absent; perf smoke skipped"
 fi
 
-step "universal construction on real threads (exp e10 e11: monitored torture, group-commit backoff re-sweep and durability tax at 1-8 threads)"
+step "universal construction on real threads (exp e10 e11: monitored torture, block-apply backoff re-sweep with counter read-back, and durability tax at 1-8 threads)"
 cargo run --release --quiet --offline -p sbu-bench --bin exp -- e10 e11 >/dev/null
 
 step "service unit tests (dark config; the obs config ran in the obs-enabled block above)"
@@ -142,7 +144,7 @@ grep -Eq '"service\.inject\.drop": [1-9]' OBS_e13.json || {
 step "fault-plane sweep (exp e13 under obs: exactly-once, amplification within 1/(1-p)^2 + margin at every drop rate)"
 cargo run --release --quiet --offline --features obs -p sbu-bench --bin exp -- e13
 
-step "group-commit smoke (exp e14 --smoke: batched must not lose to per-command at 4 threads)"
+step "block-apply smoke (exp e14 --smoke: blocks must not lose to per-command at 4 threads; every arm reads its counter back)"
 rm -f OBS_e14.json
 cargo run --release --quiet --offline --features obs -p sbu-bench --bin exp -- e14 --smoke >/dev/null
 grep -Eq '"core\.batch_size"' OBS_e14.json || {
@@ -165,7 +167,7 @@ grep -Eq '"service\.accept": [1-9]' OBS_e15.json || {
 step "socket transport sweep (exp e15 under obs: every leg exactly-once, socket legs with live accepts and reads)"
 cargo run --release --quiet --offline --features obs -p sbu-bench --bin exp -- e15
 
-step "fast-path equivalence (per-command vs batched fold, both feature configs)"
+step "fast-path equivalence (paper scans vs fast paths vs blocks, both feature configs)"
 cargo test --quiet --offline -p sbu-core --test fastpath_equivalence
 cargo test --quiet --offline -p sbu-core --test fastpath_equivalence --features obs
 
