@@ -10,14 +10,8 @@
 //! guarantees, not raw speed; on a single core the lock often wins — the
 //! point is that the wait-free object stays correct and live under the same
 //! torture where a lock holder can stall everyone.
-//!
-//! A second table re-sweeps the backoff cap for the bounded construction
-//! applying blocks ([`sbu_core::Universal::apply_batch`], via the E14
-//! harness), and fails the experiment if any cell's counter does not read
-//! back exactly.
 
 use crate::{json_rows, write_artifacts, Table};
-use sbu_core::bounded::UniversalConfig;
 use sbu_obs::Json;
 use sbu_stress::{
     run_jam_backoff, run_lock_based_jam, run_workload, Inject, Options, StressConfig, Workload,
@@ -28,21 +22,6 @@ use sbu_stress::{
 /// step sequence is untouched, so the monitor verdicts are identical. Picked
 /// by sweeping {2, 6, 16} at 4–8 threads on the reference box.
 const TUNED_BACKOFF_LIMIT: u32 = 6;
-
-/// Backoff caps re-swept with block apply. Blocks change how often the
-/// sticky words are contended — one append per block, not per command — so
-/// the E10 cap tuned for per-command traffic is re-validated rather than
-/// assumed.
-const BATCHED_BACKOFF_SWEEP: [u32; 3] = [2, 6, 16];
-
-/// Production backoff cap for block apply, picked by the E10 batched-arm
-/// sweep at 4–8 threads on the reference box (see EXPERIMENTS.md §E10).
-/// The per-command cap carried over: larger caps only delay the candidate
-/// rescan.
-pub const BATCHED_BACKOFF_LIMIT: u32 = 6;
-
-/// Block size used for the batched backoff sweep (E14's largest).
-const BATCHED_SWEEP_CAP: usize = 8;
 
 /// One thread count of the monitored torture, verified ops/sec.
 #[derive(Debug, Clone)]
@@ -59,17 +38,6 @@ pub struct E10Row {
     pub windows_native: usize,
     /// Windows the monitor checked on the lock arm.
     pub windows_lock: usize,
-}
-
-/// One cell of the batched-configuration backoff re-sweep.
-#[derive(Debug, Clone)]
-pub struct BackoffRow {
-    /// Concurrent processors.
-    pub threads: usize,
-    /// Candidate-switch backoff cap.
-    pub backoff_limit: u32,
-    /// Commands/sec in blocks of the sweep's block size.
-    pub commands_per_sec: f64,
 }
 
 fn torture_table() -> Table<E10Row> {
@@ -94,50 +62,17 @@ fn torture_table() -> Table<E10Row> {
     })
 }
 
-fn backoff_table() -> Table<BackoffRow> {
-    Table::<BackoffRow>::new(
-        "E10  block-apply backoff re-sweep, commands/sec \
-         (blocks of 8, counter read back; production cap marked)",
-    )
-    .num("threads", "threads", 0, |r| r.threads as f64)
-    .num("backoff cap", "backoff_limit", 0, |r| {
-        f64::from(r.backoff_limit)
-    })
-    .num("batched cmd/s", "commands_per_sec", 0, |r| {
-        r.commands_per_sec
-    })
-    .text("production", |r| {
-        if r.backoff_limit == BATCHED_BACKOFF_LIMIT {
-            "yes".into()
-        } else {
-            String::new()
-        }
-    })
-}
-
 /// The `BENCH_e10.json` document (schema in EXPERIMENTS.md).
-pub fn to_json(rows: &[E10Row], backoff: &[BackoffRow]) -> Json {
+pub fn to_json(rows: &[E10Row]) -> Json {
     Json::obj(vec![
         ("experiment", Json::Str("e10".into())),
         ("object", Json::Str("jam_word".into())),
         ("unit", Json::Str("ops_per_sec".into())),
         ("rows", json_rows(rows, &[&torture_table()])),
-        (
-            "batched_backoff",
-            Json::obj(vec![
-                ("batch_cap", Json::Num(BATCHED_SWEEP_CAP as f64)),
-                (
-                    "production_limit",
-                    Json::Num(f64::from(BATCHED_BACKOFF_LIMIT)),
-                ),
-                ("rows", json_rows(backoff, &[&backoff_table()])),
-            ]),
-        ),
     ])
 }
 
-/// Run the experiment, write `BENCH_e10.json`, and return the report;
-/// `Err` if a batched cell lost or duplicated a command.
+/// Run the experiment, write `BENCH_e10.json`, and return the report.
 pub fn run() -> Result<String, String> {
     let mut rows = Vec::new();
     let mut last_native_metrics = sbu_obs::Snapshot::default();
@@ -177,31 +112,7 @@ pub fn run() -> Result<String, String> {
             windows_lock: lock.windows_checked,
         });
     }
-    // Block-apply backoff re-sweep: the same backoff caps, but driving the
-    // bounded construction with blocks of 8 instead of per-command JamWord
-    // traffic. Commands/sec via the E14 harness so the arms stay comparable
-    // with that experiment's table; each cell reads its counter back.
-    let mut backoff = Vec::new();
-    let backoff_registry = sbu_obs::Registry::new(8);
-    for &threads in &[4usize, 8] {
-        for &limit in &BATCHED_BACKOFF_SWEEP {
-            let config = UniversalConfig::for_procs(threads).with_backoff_limit(limit);
-            backoff.push(BackoffRow {
-                threads,
-                backoff_limit: limit,
-                commands_per_sec: crate::e14_batch::batched_throughput_with(
-                    threads,
-                    2_000,
-                    BATCHED_SWEEP_CAP,
-                    config,
-                    &backoff_registry,
-                )?,
-            });
-        }
-    }
     let mut report = torture_table().render(&rows);
-    report.push('\n');
-    report.push_str(&backoff_table().render(&backoff));
     if !last_native_metrics.is_empty() {
         report.push('\n');
         report.push_str(
@@ -210,7 +121,7 @@ pub fn run() -> Result<String, String> {
     }
     report.push_str(&write_artifacts(
         "e10",
-        Some(&to_json(&rows, &backoff)),
+        Some(&to_json(&rows)),
         &last_native_metrics,
     ));
     Ok(report)
@@ -230,12 +141,7 @@ mod tests {
             windows_native: 12,
             windows_lock: 34,
         }];
-        let backoff = [BackoffRow {
-            threads: 8,
-            backoff_limit: 16,
-            commands_per_sec: 250.0,
-        }];
-        let doc = to_json(&rows, &backoff);
+        let doc = to_json(&rows);
         assert_eq!(doc.get("experiment").unwrap().as_str(), Some("e10"));
         assert_eq!(doc.get("object").unwrap().as_str(), Some("jam_word"));
         let row = &doc.get("rows").unwrap().as_arr().unwrap()[0];
@@ -250,13 +156,6 @@ mod tests {
         ] {
             assert_eq!(row.get(key).unwrap().as_num(), Some(value), "{key}");
         }
-        let batched = doc.get("batched_backoff").unwrap();
-        assert_eq!(batched.get("batch_cap").unwrap().as_num(), Some(8.0));
-        assert_eq!(batched.get("production_limit").unwrap().as_num(), Some(6.0));
-        let cell = &batched.get("rows").unwrap().as_arr().unwrap()[0];
-        assert_eq!(cell.get("threads").unwrap().as_num(), Some(8.0));
-        assert_eq!(cell.get("backoff_limit").unwrap().as_num(), Some(16.0));
-        assert_eq!(cell.get("commands_per_sec").unwrap().as_num(), Some(250.0));
         // And it survives a round trip through the parser.
         assert_eq!(Json::parse(&doc.render()).unwrap(), doc);
     }

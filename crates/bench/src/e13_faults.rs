@@ -25,7 +25,7 @@
 //!
 //! Failure accounting maps onto the stress exit-code contract
 //! ([`sbu_stress::ExitStatus`]): a failure set that is entirely typed
-//! `Busy`/`Unavailable` outcomes is *capacity* (exit 5), not a violation —
+//! `Busy` outcomes is *capacity* (exit 5), not a violation —
 //! see [`exit_class`]. Artifacts: `BENCH_e13.json` and, under `obs`,
 //! `OBS_e13.json` (schemas in EXPERIMENTS.md).
 
@@ -71,10 +71,8 @@ pub struct E13Row {
     pub ops: u64,
     /// Requests that ended in a typed error instead of a response.
     pub failures: u64,
-    /// Capacity-class subsets of `failures` (Busy / Unavailable).
+    /// The capacity-class subset of `failures` (typed `Busy`).
     pub busy: u64,
-    /// See `busy`.
-    pub unavailable: u64,
     /// Client retransmissions (`service.retry`; 0 without the obs feature).
     pub retries: u64,
     /// Frames the fault shim dropped (`service.inject.drop`; 0 without obs).
@@ -110,13 +108,13 @@ pub fn profile(drop_pct: u64) -> FaultProfile {
 
 /// Map a load-generator outcome onto the stress exit-code contract: no
 /// failures is [`ExitStatus::Clean`]; a failure set that is *entirely*
-/// typed `Busy`/`Unavailable` outcomes is [`ExitStatus::Capacity`] (shed
-/// load — exit 5, never conflated with a verdict); anything else
-/// (deadline exhaustion) means ops went unverified.
+/// typed `Busy` outcomes is [`ExitStatus::Capacity`] (shed load — exit 5,
+/// never conflated with a verdict); anything else (deadline exhaustion)
+/// means ops went unverified.
 pub fn exit_class(report: &LoadgenReport) -> ExitStatus {
     if report.failures == 0 {
         ExitStatus::Clean
-    } else if report.busy_failures + report.unavailable_failures == report.failures {
+    } else if report.busy_failures == report.failures {
         ExitStatus::Capacity
     } else {
         ExitStatus::Unverified
@@ -154,7 +152,6 @@ fn row_from(drop_pct: u64, clients: usize, report: &LoadgenReport) -> E13Row {
         ops: report.ops,
         failures: report.failures,
         busy: report.busy_failures,
-        unavailable: report.unavailable_failures,
         retries,
         drops_injected: report.metrics.counter("service.inject.drop"),
         amplification: (report.ops + retries) as f64 / report.ops as f64,
@@ -212,7 +209,6 @@ fn table() -> Table<E13Row> {
     )
     .num("fail", "failures", 0, |r| r.failures as f64)
     .json("busy", |r| Json::Num(r.busy as f64))
-    .json("unavailable", |r| Json::Num(r.unavailable as f64))
     .json("shard_ops", |r| {
         Json::Arr(r.shard_ops.iter().map(|&o| Json::Num(o as f64)).collect())
     })
@@ -400,7 +396,6 @@ mod tests {
             acked: 10,
             failures: 0,
             busy_failures: 0,
-            unavailable_failures: 0,
             elapsed_secs: 0.0,
             ops_per_sec: 0.0,
             shards: Vec::new(),
@@ -409,11 +404,10 @@ mod tests {
         };
         assert_eq!(exit_class(&report), ExitStatus::Clean);
         report.failures = 3;
-        report.busy_failures = 2;
-        report.unavailable_failures = 1;
+        report.busy_failures = 3;
         assert_eq!(exit_class(&report), ExitStatus::Capacity);
         assert_eq!(exit_class(&report).code(), 5);
-        report.unavailable_failures = 0; // one deadline failure remains
+        report.busy_failures = 2; // one deadline failure remains
         assert_eq!(exit_class(&report), ExitStatus::Unverified);
     }
 
@@ -425,7 +419,6 @@ mod tests {
             ops: 1600,
             failures: 0,
             busy: 0,
-            unavailable: 0,
             retries: 420,
             drops_injected: 390,
             amplification: 1.2625,

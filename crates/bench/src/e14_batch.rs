@@ -21,9 +21,7 @@
 
 use crate::e8_throughput::counter_arm;
 use crate::{json_rows, ops_per_sec, write_artifacts, Table};
-use sbu_core::{
-    bounded::UniversalConfig, CellPayload, SpinLockUniversal, Universal, UniversalObject,
-};
+use sbu_core::{CellPayload, SpinLockUniversal, Universal, UniversalObject};
 use sbu_mem::native::NativeMem;
 use sbu_mem::Pid;
 use sbu_obs::Json;
@@ -90,17 +88,15 @@ fn per_command_arm<U: UniversalObject<CounterSpec>>(
     )
 }
 
-/// A fresh bounded counter for `threads` processors under `config`, with
+/// A fresh bounded counter for `threads` processors (default config), with
 /// its instruments and its memory's attached to `registry`.
 fn bounded_counter(
     threads: usize,
-    config: UniversalConfig,
     registry: &sbu_obs::Registry,
 ) -> (NativeMem<CellPayload<CounterSpec>>, Universal<CounterSpec>) {
     let mut mem = NativeMem::new();
     mem.attach_obs(registry);
     let obj = Universal::builder(threads)
-        .config(config)
         .obs(registry)
         .build(&mut mem, CounterSpec::new());
     (mem, obj)
@@ -112,7 +108,7 @@ fn per_command_throughput(
     ops: usize,
     registry: &sbu_obs::Registry,
 ) -> Result<f64, String> {
-    let (mem, obj) = bounded_counter(threads, UniversalConfig::for_procs(threads), registry);
+    let (mem, obj) = bounded_counter(threads, registry);
     per_command_arm("per-command", threads, ops, &obj, &mem)
 }
 
@@ -121,21 +117,6 @@ fn spin_lock_throughput(threads: usize, ops: usize) -> Result<f64, String> {
     let mut mem: NativeMem<CellPayload<CounterSpec>> = NativeMem::new();
     let lock = SpinLockUniversal::new(&mut mem, CounterSpec::new());
     per_command_arm("spin lock", threads, ops, &lock, &mem)
-}
-
-fn batched_throughput(
-    threads: usize,
-    ops: usize,
-    cap: usize,
-    registry: &sbu_obs::Registry,
-) -> Result<f64, String> {
-    batched_throughput_with(
-        threads,
-        ops,
-        cap,
-        UniversalConfig::for_procs(threads),
-        registry,
-    )
 }
 
 /// The best batched arm over [`CAPS`].
@@ -148,18 +129,15 @@ fn best_batched_throughput(threads: usize, registry: &sbu_obs::Registry) -> Resu
 }
 
 /// Commands/sec of `threads` threads each submitting `ops` increments as
-/// `cap`-command [`Universal::apply_batch`] blocks, under `config` — also
-/// the seam E10's batched backoff sweep drives to re-tune the jam backoff
-/// cap for blocks. The counter is read back after the run: a lost or
-/// duplicated command is an `Err`.
-pub fn batched_throughput_with(
+/// `cap`-command [`Universal::apply_batch`] blocks. The counter is read
+/// back after the run: a lost or duplicated command is an `Err`.
+fn batched_throughput(
     threads: usize,
     ops: usize,
     cap: usize,
-    config: UniversalConfig,
     registry: &sbu_obs::Registry,
 ) -> Result<f64, String> {
-    let (mem, obj) = bounded_counter(threads, config, registry);
+    let (mem, obj) = bounded_counter(threads, registry);
     let block = vec![CounterOp::Inc; cap];
     let rate = ops_per_sec(threads, ops, |pid| {
         let mut done = 0;

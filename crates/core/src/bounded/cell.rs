@@ -28,14 +28,6 @@ pub struct UniversalConfig {
     /// gain; `crates/core/tests/fastpath_equivalence.rs` checks the
     /// outcome sets match exhaustively).
     pub fast_paths: bool,
-    /// Cap exponent for the bounded exponential backoff in the FIND-HEAD
-    /// and GFC retry loops: one backoff pause never exceeds `2^backoff_limit`
-    /// spin rounds (the `core.backoff_spins` counter attributes the cost).
-    /// Purely local spinning — no shared-memory step is ever skipped, so
-    /// the wait-freedom bound is unchanged by any value. Default
-    /// [`sbu_mem::Backoff::DEFAULT_LIMIT`]; E10 sweeps this to tune the
-    /// 4–8 thread `native_jam` contention cliff.
-    pub backoff_limit: u32,
 }
 
 impl UniversalConfig {
@@ -44,7 +36,6 @@ impl UniversalConfig {
         Self {
             cells: 4 * n * n + 8 * n + 4,
             fast_paths: true,
-            backoff_limit: sbu_mem::Backoff::DEFAULT_LIMIT,
         }
     }
 
@@ -63,13 +54,6 @@ impl UniversalConfig {
     /// tests).
     pub fn paper_scans(mut self) -> Self {
         self.fast_paths = false;
-        self
-    }
-
-    /// Cap one backoff pause at `2^limit` spin rounds (see
-    /// [`UniversalConfig::backoff_limit`]).
-    pub fn with_backoff_limit(mut self, limit: u32) -> Self {
-        self.backoff_limit = limit;
         self
     }
 }

@@ -2,7 +2,7 @@
 //! rule).
 
 use super::{Inner, ProcLocal, ANCHOR};
-use sbu_mem::{DataMem, Pid, Tri};
+use sbu_mem::{Backoff, DataMem, Pid, Tri};
 
 impl<S> Inner<S> {
     /// Get a free cell for `pid`: reclaim eligible owned cells, announce,
@@ -114,7 +114,7 @@ impl<S> Inner<S> {
         // expectation by Lemma 6.4 given the Θ(n²) pool; if the pool is
         // exhausted by leaks this spins, which the simulator's step limit
         // turns into a loud failure.
-        let mut backoff = self.new_backoff();
+        let mut backoff = Backoff::new();
         loop {
             for c in 0..self.cells.len() {
                 if !self.grab(mem, pid, local, c) {

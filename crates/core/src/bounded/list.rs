@@ -1,7 +1,7 @@
 //! FIND-HEAD and APPEND, with helping (Figures 7–8).
 
 use super::{Inner, ProcLocal};
-use sbu_mem::{Pid, Tri, WordMem};
+use sbu_mem::{Backoff, Pid, Tri, WordMem};
 
 impl<S> Inner<S> {
     /// FIND-HEAD (Figure 7): scan the pool for the cell that is fully
@@ -56,7 +56,7 @@ impl<S> Inner<S> {
             }
             self.obs.frontier_fallback.incr(pid.0);
         }
-        let mut backoff = self.new_backoff();
+        let mut backoff = Backoff::new();
         loop {
             if mem
                 .sticky_word_read(pid, self.cells[my_cell].next)

@@ -40,7 +40,7 @@ pub use obs::CoreObs;
 use crate::{CellPayload, UniversalObject};
 use cell::CellHandles;
 use parking_lot::Mutex;
-use sbu_mem::{AtomicId, Backoff, DataMem, Pid, SafeId, WordMem};
+use sbu_mem::{AtomicId, DataMem, Pid, SafeId, WordMem};
 use sbu_spec::SequentialSpec;
 use std::sync::Arc;
 
@@ -97,7 +97,6 @@ pub(crate) struct ProcLocal {
 pub(crate) struct Inner<S> {
     pub(crate) n: usize,
     pub(crate) use_fast_paths: bool,
-    pub(crate) backoff_limit: u32,
     pub(crate) cells: Vec<CellHandles>,
     /// Flat `cells.len() × n` slab of grab bits: `r_bits[c*n + j]` is cell
     /// `c`'s `r_j`. One allocation for the whole pool (see `CellHandles`).
@@ -409,7 +408,6 @@ where
         let inner = Inner {
             n,
             use_fast_paths: config.fast_paths,
-            backoff_limit: config.backoff_limit,
             cells,
             r_bits,
             b_bits,
@@ -544,11 +542,6 @@ impl<S> Inner<S> {
             mem.safe_write(pid, self.b(cur, d), 1);
             cur = next;
         }
-    }
-
-    /// A fresh backoff for a retry loop, capped by the configured limit.
-    pub(crate) fn new_backoff(&self) -> Backoff {
-        Backoff::with_limit(self.backoff_limit)
     }
 
     /// Follow a cell's `Next` pointer (must be defined — cells we walk are

@@ -261,9 +261,16 @@ pub fn expected_verdict(backend: ScenarioBackend) -> Verdict {
     }
 }
 
-/// Why a cell is intentionally not run (`None` = it runs).
+/// Threads the jam-word cell on the `torn-lying` backend needs: a lying
+/// torn persist makes recovery disagree only with at least this many
+/// announcers, so with fewer the lie cannot surface and the monitor has
+/// nothing to catch.
+pub(crate) const LYING_PERSIST_ANNOUNCERS: usize = 3;
+
+/// Why a cell is intentionally not run under a thread cap of `thread_cap`
+/// (`RunConfig::max_threads`, `0` = none); `None` = it runs.
 ///
-/// Two rule families:
+/// Three rule families:
 ///
 /// * **Fault-plane gating.** Transport scenarios (lossy wire, worker
 ///   kills) run only the fault-plane service backends; classic scenarios
@@ -274,10 +281,15 @@ pub fn expected_verdict(backend: ScenarioBackend) -> Verdict {
 ///   (its helping invariants break) instead of producing a cleanly
 ///   checkable non-linearizable history, so that cell cannot distinguish
 ///   "caught" from "crashed".
+/// * **Thread cap.** A cap below 3 leaves the jam-word `TornLying` cell
+///   too few announcers for a lying torn persist to make recovery
+///   disagree, so it is skipped rather than reported as an escape (or,
+///   worse, a pass).
 pub fn skip_reason(
     scenario: &crate::Scenario,
     object: ScenarioObject,
     backend: ScenarioBackend,
+    thread_cap: usize,
 ) -> Option<&'static str> {
     if scenario.transport && !backend.is_fault_plane() {
         return Some("transport scenarios exercise only the fault-plane service backends");
@@ -290,6 +302,14 @@ pub fn skip_reason(
             "universal construction panics on lying sticky bits (helping invariant) \
              rather than surfacing a checkable violation",
         ),
+        (ScenarioObject::JamWord, ScenarioBackend::TornLying)
+            if (1..LYING_PERSIST_ANNOUNCERS).contains(&thread_cap) =>
+        {
+            Some(
+                "the --max-threads cap leaves fewer than the 3 announcers a lying \
+                 torn persist needs to make recovery disagree",
+            )
+        }
         _ => None,
     }
 }
@@ -400,20 +420,36 @@ mod tests {
     fn skips_partition_backends_by_fault_plane() {
         let classic = crate::scenario::find("steady-state").unwrap();
         let transport = crate::scenario::find("lossy-transport").unwrap();
-        for o in ScenarioObject::all() {
-            for b in ScenarioBackend::all() {
-                // Classic scenarios: fault-plane backends skip; among the
-                // rest only the lying counter cell skips.
-                let classic_skip = skip_reason(&classic, o, b).is_some();
-                assert_eq!(
-                    classic_skip,
-                    b.is_fault_plane()
-                        || (o, b) == (ScenarioObject::Counter, ScenarioBackend::TornLying),
-                    "classic {o}/{b}"
-                );
-                // Transport scenarios: exactly the fault-plane backends run.
-                let transport_skip = skip_reason(&transport, o, b).is_some();
-                assert_eq!(transport_skip, !b.is_fault_plane(), "transport {o}/{b}");
+        for cap in [0, 1, 2, 3] {
+            for o in ScenarioObject::all() {
+                for b in ScenarioBackend::all() {
+                    // Classic scenarios: fault-plane backends skip; among
+                    // the rest the lying counter cell skips, and so does
+                    // the lying jam-word cell under a cap below 3.
+                    let classic_skip = skip_reason(&classic, o, b, cap);
+                    let capped_jam = (o, b)
+                        == (ScenarioObject::JamWord, ScenarioBackend::TornLying)
+                        && (cap == 1 || cap == 2);
+                    assert_eq!(
+                        classic_skip.is_some(),
+                        b.is_fault_plane()
+                            || (o, b) == (ScenarioObject::Counter, ScenarioBackend::TornLying)
+                            || capped_jam,
+                        "classic {o}/{b} cap {cap}"
+                    );
+                    if capped_jam {
+                        let reason = classic_skip.unwrap();
+                        assert!(reason.contains("--max-threads"), "{reason}");
+                    }
+                    // Transport scenarios: exactly the fault-plane
+                    // backends run.
+                    let transport_skip = skip_reason(&transport, o, b, cap).is_some();
+                    assert_eq!(
+                        transport_skip,
+                        !b.is_fault_plane(),
+                        "transport {o}/{b} cap {cap}"
+                    );
+                }
             }
         }
     }

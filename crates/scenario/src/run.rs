@@ -21,6 +21,7 @@
 
 use crate::matrix::{
     expected_verdict, skip_reason, CellResult, ScenarioBackend, ScenarioObject, Verdict,
+    LYING_PERSIST_ANNOUNCERS,
 };
 use crate::scenario::{Phase, Scenario};
 use rand::Rng;
@@ -283,7 +284,7 @@ fn run_phase(
         (ScenarioObject::Counter, ScenarioBackend::TornLying) => {
             unreachable!(
                 "skipped cell dispatched: {:?}",
-                skip_reason(scenario, object, backend)
+                skip_reason(scenario, object, backend, 0)
             )
         }
 
@@ -321,12 +322,9 @@ struct ServicePlane {
 
 /// The service sizing and fault plane of one cell. Shard/worker counts
 /// scale with the phase's thread count; the fault-plane backends add the
-/// lossy wire, the lying corruptor, and (durable only) seeded worker
-/// kills; the socket backend dials its clients over a real Unix-domain
-/// socket. Volatile kills are deliberately *not* matrixed: a volatile
-/// respawn loses the shard's acked state by design, which the monitor
-/// would rightly flag — that contract (typed `Unavailable`, retries land
-/// on a fresh shard) is pinned by the service crate's own tests instead.
+/// lossy wire, the lying corruptor, and (durable only, as the service
+/// requires) seeded worker kills; the socket backend dials its clients
+/// over a real Unix-domain socket.
 fn service_plane_config(
     cfg: &StressConfig,
     backend: ScenarioBackend,
@@ -358,10 +356,11 @@ fn service_plane_config(
         ScenarioBackend::Service => base,
         ScenarioBackend::ServiceSocket => ServicePlane {
             transport: TransportConfig::Unix(scratch_socket_path()),
-            // Patient (no attempt timeout) on the honest kernel stream:
-            // a wall-clock-triggered retransmit would put timing-dependent
-            // retry counts into the cell's instrument signature, which the
-            // capped determinism runs compare byte-for-byte.
+            // Patient (a 1 s timer floor) on the honest kernel stream, far
+            // above any round trip: a wall-clock-triggered retransmit would
+            // put timing-dependent retry counts into the cell's instrument
+            // signature, which the capped determinism runs compare
+            // byte-for-byte.
             retry: RetryPolicy::patient().with_deadline(std::time::Duration::from_secs(60)),
             ..base
         },
@@ -524,7 +523,7 @@ pub fn run_cell(
 ) -> CellResult {
     let expected = expected_verdict(backend);
     let seed = cell_seed(rc.seed, scenario.name, object, backend);
-    if skip_reason(scenario, object, backend).is_some() {
+    if skip_reason(scenario, object, backend, rc.max_threads).is_some() {
         return CellResult {
             object,
             backend,
@@ -558,13 +557,10 @@ pub fn run_cell(
             let mut cfg = stress_config(phase, rc, phase_seed);
             if (object, backend) == (ScenarioObject::JamWord, ScenarioBackend::TornLying) {
                 // Lying torn-persists need real crashes to roll anything
-                // back, and disagreement needs ≥ 3 announcers; floor the
-                // sizing — but a determinism cap (`--max-threads`) still
-                // wins, trading catch-power for bit-reproducibility.
-                cfg.threads = cfg.threads.max(3);
-                if rc.max_threads > 0 {
-                    cfg.threads = cfg.threads.min(rc.max_threads).max(1);
-                }
+                // back, and disagreement needs enough announcers: floor the
+                // sizing. A thread cap below the floor skipped the cell
+                // above, so the floor never exceeds the cap.
+                cfg.threads = cfg.threads.max(LYING_PERSIST_ANNOUNCERS);
                 cfg.crash_threads = cfg.crash_threads.clamp(1, cfg.threads);
             }
             let out = run_phase(object, backend, scenario, phase, &cfg);
@@ -663,15 +659,25 @@ mod tests {
     #[test]
     fn skipped_cell_short_circuits() {
         let s = scenario::find("steady-state").unwrap();
-        let cell = run_cell(
-            &s,
-            ScenarioObject::Counter,
-            ScenarioBackend::TornLying,
-            &RunConfig::default(),
-        );
-        assert_eq!(cell.verdict, Verdict::Skipped);
-        assert_eq!(cell.total_ops, 0);
-        assert!(cell.is_ok());
+        // The lying counter always skips; the lying jam-word cell skips
+        // under a thread cap too small for its lie to surface.
+        let capped = RunConfig {
+            max_threads: 1,
+            ..RunConfig::default()
+        };
+        for (object, rc) in [
+            (ScenarioObject::Counter, RunConfig::default()),
+            (ScenarioObject::JamWord, capped),
+        ] {
+            let cell = run_cell(&s, object, ScenarioBackend::TornLying, &rc);
+            assert_eq!(
+                (cell.expected, cell.verdict),
+                (Verdict::Skipped, Verdict::Skipped),
+                "{object}"
+            );
+            assert_eq!(cell.total_ops, 0);
+            assert!(cell.is_ok());
+        }
     }
 
     #[test]

@@ -12,7 +12,8 @@ use sbu_scenario::{
 fn full_matrix_holds_the_line() {
     let scenarios = sbu_scenario::all();
     assert!(scenarios.len() >= 6, "ISSUE 6 wants >= 6 named scenarios");
-    let results = run_matrix(&scenarios, &RunConfig::default());
+    let rc = RunConfig::default();
+    let results = run_matrix(&scenarios, &rc);
     assert_eq!(results.len(), scenarios.len());
 
     for r in &results {
@@ -25,7 +26,7 @@ fn full_matrix_holds_the_line() {
         for c in &r.cells {
             // Structural skips (fault-plane gating, the lying counter) are
             // explicit rows with a recorded reason, never silent holes.
-            if skip_reason(&r.scenario, c.object, c.backend).is_some() {
+            if skip_reason(&r.scenario, c.object, c.backend, rc.max_threads).is_some() {
                 assert_eq!(
                     c.verdict,
                     Verdict::Skipped,

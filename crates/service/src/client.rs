@@ -16,19 +16,18 @@
 //!   end to end;
 //! * a [`ConnEvent::Disconnected`] is handled by reconnect-and-retransmit,
 //!   which the same dedup window makes safe over a real socket;
-//! * `Busy`/`Unavailable` control frames back the client off and
-//!   retransmit, and surface as their typed errors only at the deadline.
-//!   Every shed, on every transport, is a `Busy` frame `wait` receives
+//! * a `Busy` control frame backs the client off and retransmits, and
+//!   surfaces as [`ServiceError::Busy`] only at the deadline. Every shed,
+//!   on every transport, is a `Busy` frame `wait` receives
 //!   (`service.shed`).
 //!
-//! Under a policy with an attempt timeout, `wait` retransmits on two
-//! signals. The first needs no clock: a client's requests to one worker
-//! are applied and answered in the order they were sent, so a reply from
-//! that worker to a *later* request proves an older request sent once, or
-//! its reply, was lost. The second is the per-client RFC 6298 timer
-//! ([`crate::retry`]) for the losses that signal cannot see. Neither is
-//! needed for safety: a spurious retransmit is answered from the dedup
-//! window.
+//! Whatever its policy, `wait` retransmits on two signals. The first needs
+//! no clock: a client's requests to one worker are applied and answered in
+//! the order they were sent, so a reply from that worker to a *later*
+//! request proves an older request sent once, or its reply, was lost. The
+//! second is the per-client RFC 6298 timer ([`crate::retry`]) for the
+//! losses that signal cannot see. Neither is needed for safety: a spurious
+//! retransmit is answered from the dedup window.
 //!
 //! One client handle is one logical caller: methods serialize on an
 //! internal lock, so concurrent callers should each use their own client
@@ -38,7 +37,7 @@ use crate::retry::{deadline_error, RetryPolicy, Rto, ServiceError};
 use crate::route::ShardMap;
 use crate::server::ServiceObs;
 use crate::transport::{ClientConn, ConnEvent, Delivery};
-use crate::wire::{request_frame, Frame, WireCodec, KIND_BUSY, KIND_RESPONSE, KIND_UNAVAILABLE};
+use crate::wire::{request_frame, Frame, WireCodec, KIND_BUSY, KIND_RESPONSE};
 use parking_lot::Mutex;
 use sbu_mem::contention::Backoff;
 use std::collections::VecDeque;
@@ -56,11 +55,11 @@ const STASH_CAP: usize = 256;
 struct ClientInner {
     conn: Box<dyn ClientConn>,
     /// Replies that arrived while waiting for a different sequence number,
-    /// with their arrival instant when the client runs a timer (a round
-    /// trip is timed to the arrival, not to the `wait` that claims it).
-    stash: VecDeque<(Frame, Option<Instant>)>,
-    /// The retransmission timer; `None` when attempts never time out.
-    rto: Option<Rto>,
+    /// with their arrival instant (a round trip is timed to the arrival,
+    /// not to the `wait` that claims it).
+    stash: VecDeque<(Frame, Instant)>,
+    /// The retransmission timer.
+    rto: Rto,
 }
 
 /// A typed per-client handle to a running [`Service`](crate::Service).
@@ -139,7 +138,7 @@ impl<S: WireCodec> ServiceClient<S> {
             seq,
             worker,
             bytes,
-            sent_at: self.retry.attempt_timeout.is_some().then(Instant::now),
+            sent_at: Instant::now(),
         }
     }
 
@@ -158,9 +157,8 @@ pub struct Pending<'a, S: WireCodec> {
     seq: u64,
     worker: usize,
     bytes: Vec<u8>,
-    /// When `submit` transmitted it; recorded only when the client runs a
-    /// timer.
-    sent_at: Option<Instant>,
+    /// When `submit` transmitted it.
+    sent_at: Instant,
 }
 
 impl<'a, S: WireCodec> Pending<'a, S> {
@@ -170,37 +168,34 @@ impl<'a, S: WireCodec> Pending<'a, S> {
     }
 
     /// Block until the reply arrives or `deadline` passes, retransmitting
-    /// through `Busy`/`Unavailable` controls, garbled replies, and
-    /// connection drops (reconnect, then retransmit — safe under the
-    /// server's `(client, seq)` dedup window).
+    /// through `Busy` controls, garbled replies, and connection drops
+    /// (reconnect, then retransmit — safe under the server's
+    /// `(client, seq)` dedup window).
     ///
-    /// Under a policy with an attempt timeout, a lost request or reply is
-    /// retransmitted as soon as its loss is proven — while `submit`'s
-    /// transmission is the only one, a reply from the same worker to a
-    /// later request is that proof — and otherwise when the client's
-    /// retransmission timer, started at the transmission's send instant,
-    /// expires with no reply held.
+    /// A lost request or reply is retransmitted as soon as its loss is
+    /// proven — while `submit`'s transmission is the only one, a reply
+    /// from the same worker to a later request is that proof — and
+    /// otherwise when the client's retransmission timer, started at the
+    /// transmission's send instant, expires with no reply held.
     pub fn wait(self, deadline: Instant) -> Result<S::Resp, ServiceError> {
         let c = self.client;
         let mut inner = c.inner.lock();
         let ClientInner { conn, stash, rto } = &mut *inner;
         let mut attempts: u32 = 1;
         let mut sent_at = self.sent_at;
-        let mut last_control: Option<u8> = None;
+        let mut shed = false;
         let mut backoff = Backoff::new();
         let mut pending_send = false;
 
         'attempt: loop {
             if pending_send {
                 if Instant::now() >= deadline {
-                    return Err(deadline_error(c.id, self.seq, attempts, last_control));
+                    return Err(deadline_error(c.id, self.seq, attempts, shed));
                 }
                 conn.send(self.worker, Delivery::Intact(self.bytes.clone()));
                 attempts += 1;
                 c.obs.retry.incr(c.lane);
-                if rto.is_some() {
-                    sent_at = Some(Instant::now());
-                }
+                sent_at = Instant::now();
             }
             // Any later re-entry of 'attempt means the current transmission
             // is spent (timeout, proven loss, control frame, drop):
@@ -210,53 +205,46 @@ impl<'a, S: WireCodec> Pending<'a, S> {
             // The loss rule holds only while `submit`'s transmission is the
             // only one: every transmission of a later request then left
             // after it, so the worker answered this request first.
-            let fifo = rto.is_some() && attempts == 1;
-            let wait_until = match (rto.as_ref(), sent_at) {
-                (Some(timer), Some(at)) => {
-                    (at + timer.timeout(c.seed, c.id, self.seq, attempts)).min(deadline)
-                }
-                _ => deadline,
-            };
+            let fifo = attempts == 1;
+            let wait_until =
+                (sent_at + rto.timeout(c.seed, c.id, self.seq, attempts)).min(deadline);
             // Drain reply events until ours, a proven loss, the timer, or a
             // control frame that asks for a retransmit.
             loop {
-                let (frame, arrived) = if let Some(at) =
-                    stash.iter().position(|(f, _)| f.seq == self.seq)
-                {
-                    stash.remove(at).expect("position is in range")
-                } else if fifo && stash.iter().any(|(f, _)| self.overtaken_by(f)) {
-                    continue 'attempt; // lost: retransmit at once
-                } else {
-                    match conn.recv_until(wait_until) {
-                        ConnEvent::Frame(frame) => (frame, rto.is_some().then(Instant::now)),
-                        ConnEvent::Garbled => {
-                            // A corrupted reply: detected, dropped, counted.
-                            // Keep waiting — a duplicate may follow.
-                            c.obs.garbled.incr(c.lane);
-                            continue;
-                        }
-                        ConnEvent::Timeout => {
-                            if Instant::now() >= deadline {
-                                return Err(deadline_error(c.id, self.seq, attempts, last_control));
+                let (frame, arrived) =
+                    if let Some(at) = stash.iter().position(|(f, _)| f.seq == self.seq) {
+                        stash.remove(at).expect("position is in range")
+                    } else if fifo && stash.iter().any(|(f, _)| self.overtaken_by(f)) {
+                        continue 'attempt; // lost: retransmit at once
+                    } else {
+                        match conn.recv_until(wait_until) {
+                            ConnEvent::Frame(frame) => (frame, Instant::now()),
+                            ConnEvent::Garbled => {
+                                // A corrupted reply: detected, dropped, counted.
+                                // Keep waiting — a duplicate may follow.
+                                c.obs.garbled.incr(c.lane);
+                                continue;
                             }
-                            // The timer expired with no reply held (the
-                            // transport returns what it already holds
-                            // before a timeout): back off, retransmit.
-                            if let Some(timer) = rto.as_mut() {
-                                timer.back_off();
+                            ConnEvent::Timeout => {
+                                if Instant::now() >= deadline {
+                                    return Err(deadline_error(c.id, self.seq, attempts, shed));
+                                }
+                                // The timer expired with no reply held (the
+                                // transport returns what it already holds
+                                // before a timeout): back off, retransmit.
+                                rto.back_off();
+                                continue 'attempt;
                             }
-                            continue 'attempt;
-                        }
-                        ConnEvent::Disconnected => {
-                            if Instant::now() >= deadline {
-                                return Err(deadline_error(c.id, self.seq, attempts, last_control));
+                            ConnEvent::Disconnected => {
+                                if Instant::now() >= deadline {
+                                    return Err(deadline_error(c.id, self.seq, attempts, shed));
+                                }
+                                conn.reconnect();
+                                backoff.spin();
+                                continue 'attempt; // retransmit on the new stream
                             }
-                            conn.reconnect();
-                            backoff.spin();
-                            continue 'attempt; // retransmit on the new stream
                         }
-                    }
-                };
+                    };
                 if frame.client != c.id {
                     // Another client's reply, misdelivered onto this stream
                     // (a fault plane's delayed frame, or a peer claiming
@@ -281,22 +269,13 @@ impl<'a, S: WireCodec> Pending<'a, S> {
                 match frame.kind {
                     KIND_BUSY => {
                         c.obs.shed.incr(c.lane);
-                        last_control = Some(KIND_BUSY);
-                        backoff.spin();
-                        continue 'attempt;
-                    }
-                    KIND_UNAVAILABLE => {
-                        last_control = Some(KIND_UNAVAILABLE);
+                        shed = true;
                         backoff.spin();
                         continue 'attempt;
                     }
                     _ => match S::decode_resp(&frame.payload) {
                         Ok(resp) => {
-                            if let (Some(timer), Some(sent), Some(arrived)) =
-                                (rto.as_mut(), sent_at, arrived)
-                            {
-                                timer.sample(arrived.saturating_duration_since(sent), attempts);
-                            }
+                            rto.sample(arrived.saturating_duration_since(sent_at), attempts);
                             return Ok(resp);
                         }
                         Err(_) => {
@@ -425,19 +404,19 @@ mod tests {
             .seed(seed)
             .build(CounterSpec::new());
         let client = svc.client(0);
-        let fresh = Rto::new(&policy).expect("a floor means a timer");
+        let fresh = Rto::new(&policy);
         let mut backed_off = fresh;
         backed_off.back_off();
 
         assert_eq!(client.call(0, &CounterOp::Inc), Ok(1));
         // Karn: the reply to the retransmission fed no sample, and the
         // expiry's backoff stands.
-        assert_eq!(client.inner.lock().rto, Some(backed_off));
+        assert_eq!(client.inner.lock().rto, backed_off);
 
         assert_eq!(client.call(0, &CounterOp::Inc), Ok(2));
         // A request sent once: its round trip is sampled, which ends the
         // backoff.
-        let timer = client.inner.lock().rto.expect("timer state");
+        let timer = client.inner.lock().rto;
         assert_ne!(timer, fresh);
         assert_ne!(timer, backed_off);
         svc.shutdown();

@@ -44,17 +44,19 @@
 //! * [`FaultProfile`] — seeded transport faults (drop, duplicate, corrupt,
 //!   delay, the stream-killing *disconnect*, and the checksum-fixing
 //!   *lie*) injected at the transport seam, counted as `service.inject.*`.
-//! * [`RetryPolicy`]/[`ServiceError`] — per-request deadlines, bounded
-//!   exponential backoff with seeded jitter, retransmission keyed by the
-//!   wire protocol's existing `(client, seq)` pair — including
-//!   reconnect-and-retransmit when a socket drops; the server's per-worker
-//!   dedup window answers retransmits from cache, making acked operations
-//!   exactly-once under arbitrary honest loss.
+//! * [`RetryPolicy`]/[`ServiceError`] — per-request deadlines and one
+//!   retransmission path for every client: an RFC 6298 timer with seeded
+//!   jitter (the policy sets its floor) plus the per-worker FIFO loss
+//!   signal, retransmission keyed by the wire protocol's existing
+//!   `(client, seq)` pair — including reconnect-and-retransmit when a
+//!   socket drops; the server's per-worker dedup window answers
+//!   retransmits from cache, making acked operations exactly-once under
+//!   arbitrary honest loss.
 //! * [`KillPlan`]/[`Recovery`]/[`DurableShard`] — seeded worker kills with
-//!   supervisor respawn: volatile shards answer the in-flight request with
-//!   a typed `Unavailable` the client retries; durable shards run the real
+//!   supervisor respawn, on durable shards only: every kill runs the real
 //!   `DurableMem` crash–restart protocol plus per-key
-//!   [`sbu_core::Universal::recover`], losing nothing acked.
+//!   [`sbu_core::Universal::recover`] and requeues the in-flight request,
+//!   losing nothing acked.
 //! * Bounded inboxes shed load past a high watermark: every transport
 //!   answers a refused request with a `Busy` frame, which the client's
 //!   `wait` counts (`service.shed`) and retries until its deadline; a
@@ -67,7 +69,7 @@
 //! at shutdown), the fault-plane family — `service.inject.{drop,dup,
 //! corrupt,delay,disconnect,lie}`, `service.retry`,
 //! `service.stale_reply`, `service.garbled`, `service.shed`,
-//! `service.dedup_hit`, `service.respawn`, `service.unavailable` — and the
+//! `service.dedup_hit`, `service.respawn` — and the
 //! socket plane — `service.accept`, `service.conn_drop`,
 //! `service.read_syscall`, `service.partial_frame` — all on
 //! per-worker/per-client lanes under the repo's single-writer discipline
@@ -99,8 +101,8 @@ pub use socket::SocketConn;
 pub use supervise::{KillPlan, Recovery};
 pub use transport::{ClientConn, ConnEvent, Delivery, Transport, TransportConfig};
 pub use wire::{
-    control_frame, request_frame, response_frame, Frame, FrameDecoder, WireCodec, WireError,
-    KIND_BUSY, KIND_REQUEST, KIND_RESPONSE, KIND_UNAVAILABLE, MAX_FRAME_LEN,
+    busy_frame, request_frame, response_frame, Frame, FrameDecoder, WireCodec, WireError,
+    KIND_BUSY, KIND_REQUEST, KIND_RESPONSE, MAX_FRAME_LEN,
 };
 
 /// The one-stop import for service users: builder, client handles, typed

@@ -131,17 +131,13 @@ pub struct LoadgenReport {
     /// per-shard applied ops must equal it, however lossy the transport.
     pub acked: u64,
     /// Requests that ended in a typed [`crate::ServiceError`] instead of a
-    /// response (deadline/busy/unavailable). Zero on a healthy run.
+    /// response (deadline/busy). Zero on a healthy run.
     pub failures: u64,
     /// The subset of `failures` that were typed `Busy` outcomes (shed at a
     /// mailbox high watermark) — capacity, not correctness; harness layers
-    /// map a busy/unavailable-only failure set to their *capacity* exit
-    /// class instead of a violation.
+    /// map a busy-only failure set to their *capacity* exit class instead
+    /// of a violation.
     pub busy_failures: u64,
-    /// The subset of `failures` that were typed `Unavailable` outcomes (a
-    /// volatile shard crashed with the request in flight). Also capacity-
-    /// class: retryable, and correct for everything that completed.
-    pub unavailable_failures: u64,
     /// Wall-clock seconds (zero when `timing: false`).
     pub elapsed_secs: f64,
     /// `ops / elapsed_secs` (zero when `timing: false`).
@@ -233,13 +229,10 @@ where
     let mut svc = builder.build(template);
     let failures = AtomicU64::new(0);
     let busy = AtomicU64::new(0);
-    let unavailable = AtomicU64::new(0);
     let classify = |e: &crate::ServiceError| {
         failures.fetch_add(1, Ordering::Relaxed);
         if e.is_busy() {
             busy.fetch_add(1, Ordering::Relaxed);
-        } else if e.is_unavailable() {
-            unavailable.fetch_add(1, Ordering::Relaxed);
         }
     };
     let depth = config.mode.depth();
@@ -286,7 +279,6 @@ where
         acked: ops - failures,
         failures,
         busy_failures: busy.into_inner(),
-        unavailable_failures: unavailable.into_inner(),
         elapsed_secs: if config.timing { elapsed } else { 0.0 },
         ops_per_sec: if config.timing && elapsed > 0.0 {
             ops as f64 / elapsed

@@ -7,14 +7,14 @@
 //! answer it from cache instead of re-applying — that pairing is what
 //! makes the retry loop *exactly-once* end to end.
 //!
-//! When a retransmission fires is decided per client by `Rto`, the
-//! RFC 6298 timer: a smoothed round trip and its variation, fed only by
-//! replies to requests sent exactly once (Karn's rule), floored by
-//! [`RetryPolicy::attempt_timeout`], doubled on every expiry and capped at
-//! 160 ms (or at the floor, if that is higher). Each timeout carries
-//! deterministic ±25% jitter derived by hashing `(seed, client, seq,
-//! attempt)` — stateless, so no RNG handle has to thread through the
-//! client path and identical runs jitter identically. The client's other
+//! Every client runs a retransmission timer. When it fires is decided per
+//! client by `Rto`, the RFC 6298 timer: a smoothed round trip and its
+//! variation, fed only by replies to requests sent exactly once (Karn's
+//! rule), floored by [`RetryPolicy::attempt_timeout`], doubled on every
+//! expiry and capped at 160 ms (or at the floor, if that is higher).
+//! Each timeout carries deterministic ±25% jitter derived by hashing
+//! `(seed, client, seq, attempt)` — stateless, so no RNG handle has to
+//! thread through the client path and identical runs jitter identically. The client's other
 //! loss signal, a reply that overtook an older request to the same
 //! worker, lives in [`Pending::wait`](crate::Pending::wait).
 
@@ -28,31 +28,27 @@ const MAX_ATTEMPT_TIMEOUT: Duration = Duration::from_millis(160);
 /// the hard per-request deadline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
-    /// The retransmission timer's floor and starting value. `None` means
-    /// attempts never time out (only the [`deadline`](Self::deadline)
-    /// bounds the wait) and the client keeps no timer state at all —
-    /// right for a perfect transport, wrong for a lossy one.
-    ///
-    /// With `Some(floor)`, each client runs an RFC 6298 timer: before its
-    /// first round-trip sample the timeout is `floor`; after it, `SRTT +
-    /// 4·RTTVAR`, never below `floor`. Every expiry doubles the timeout
-    /// (up to 160 ms, or `floor` if that is higher) until the next valid
-    /// sample, and each transmission's timer runs from its own send
-    /// instant.
-    pub attempt_timeout: Option<Duration>,
+    /// The retransmission timer's floor and starting value. Each client
+    /// runs an RFC 6298 timer: before its first round-trip sample the
+    /// timeout is this floor; after it, `SRTT + 4·RTTVAR`, never below the
+    /// floor. Every expiry doubles the timeout (up to 160 ms, or the floor
+    /// if that is higher) until the next valid sample, and each
+    /// transmission's timer runs from its own send instant.
+    pub attempt_timeout: Duration,
     /// Hard per-request deadline: when it expires the call returns a typed
     /// error instead of blocking forever.
     pub deadline: Duration,
 }
 
 impl RetryPolicy {
-    /// The default policy for a trusted in-process transport: no
-    /// retransmission (attempts never time out), but a generous hard
-    /// deadline so a lost reply surfaces as a typed error rather than a
-    /// hung thread.
+    /// The default policy: a 1 s timer floor, far above any healthy round
+    /// trip and above the 160 ms backoff ceiling, so the timer is pinned
+    /// there and fires only for a frame that is really lost; and a
+    /// generous hard deadline, so a loss the timer cannot recover surfaces
+    /// as a typed error rather than a hung thread.
     pub const fn patient() -> Self {
         Self {
-            attempt_timeout: None,
+            attempt_timeout: Duration::from_secs(1),
             deadline: Duration::from_secs(30),
         }
     }
@@ -64,7 +60,7 @@ impl RetryPolicy {
     /// [`Pending::wait`](crate::Pending::wait)).
     pub const fn lossy() -> Self {
         Self {
-            attempt_timeout: Some(Duration::from_micros(250)),
+            attempt_timeout: Duration::from_micros(250),
             deadline: Duration::from_secs(10),
         }
     }
@@ -79,7 +75,7 @@ impl RetryPolicy {
     /// timer's value before the first round-trip sample). A floor above
     /// the 160 ms backoff ceiling pins the timer at the floor.
     pub const fn with_attempt_timeout(mut self, timeout: Duration) -> Self {
-        self.attempt_timeout = Some(timeout);
+        self.attempt_timeout = timeout;
         self
     }
 }
@@ -111,10 +107,9 @@ pub(crate) struct Rto {
 }
 
 impl Rto {
-    /// The timer `policy` asks for, or `None` when its attempts never time
-    /// out.
-    pub(crate) fn new(policy: &RetryPolicy) -> Option<Self> {
-        Some(Self::clamped(policy.attempt_timeout?, MAX_ATTEMPT_TIMEOUT))
+    /// The timer `policy` asks for.
+    pub(crate) fn new(policy: &RetryPolicy) -> Self {
+        Self::clamped(policy.attempt_timeout, MAX_ATTEMPT_TIMEOUT)
     }
 
     /// A fresh timer starting at `floor`, backing off to `ceiling` (or to
@@ -188,14 +183,14 @@ fn jittered(duration: Duration, seed: u64, client: u32, seq: u64, attempt: u32) 
     Duration::from_nanos(nanos - nanos / 4 + offset)
 }
 
-/// Why a service request failed. All variants are *typed* outcomes the
-/// harness layers can tell apart: capacity shedding ([`Busy`]), a crashed
-/// volatile shard ([`Unavailable`]), or a deadline with no verdict at all
-/// ([`Deadline`]). A reply that does not decode is never an outcome: the
-/// client retransmits until a good reply or the deadline.
+/// Why a service request failed. Both variants are *typed* outcomes the
+/// harness layers can tell apart: capacity shedding ([`Busy`]) or a
+/// deadline with no verdict at all ([`Deadline`]). A reply that does not
+/// decode is never an outcome: the client retransmits until a good reply
+/// or the deadline. A worker kill is never an outcome either: the worker
+/// recovers its shards and serves the request it died on.
 ///
 /// [`Busy`]: ServiceError::Busy
-/// [`Unavailable`]: ServiceError::Unavailable
 /// [`Deadline`]: ServiceError::Deadline
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServiceError {
@@ -219,28 +214,12 @@ pub enum ServiceError {
         /// Send attempts made.
         attempts: u32,
     },
-    /// The owning shard worker crashed with the request in flight and its
-    /// volatile state was lost. Retryable; the retry lands on the
-    /// respawned shard.
-    Unavailable {
-        /// Requesting client.
-        client: u32,
-        /// The request's sequence number.
-        seq: u64,
-        /// Send attempts made.
-        attempts: u32,
-    },
 }
 
 impl ServiceError {
     /// Whether this is the capacity-shedding outcome.
     pub fn is_busy(&self) -> bool {
         matches!(self, ServiceError::Busy { .. })
-    }
-
-    /// Whether this is the crashed-volatile-shard outcome.
-    pub fn is_unavailable(&self) -> bool {
-        matches!(self, ServiceError::Unavailable { .. })
     }
 }
 
@@ -263,46 +242,28 @@ impl std::fmt::Display for ServiceError {
                 f,
                 "busy: client {client} seq {seq} shed at capacity after {attempts} attempt(s)"
             ),
-            ServiceError::Unavailable {
-                client,
-                seq,
-                attempts,
-            } => write!(
-                f,
-                "unavailable: client {client} seq {seq} lost to a shard crash after {attempts} attempt(s)"
-            ),
         }
     }
 }
 
 impl std::error::Error for ServiceError {}
 
-/// The typed error for an expired deadline: classified by the last control
-/// frame heard (`Busy`/`Unavailable` beat a bare `Deadline`, because they
-/// tell the caller *why* the deadline ran out).
-pub(crate) fn deadline_error(
-    client: u32,
-    seq: u64,
-    attempts: u32,
-    last_control: Option<u8>,
-) -> ServiceError {
-    use crate::wire::{KIND_BUSY, KIND_UNAVAILABLE};
-    match last_control {
-        Some(KIND_BUSY) => ServiceError::Busy {
+/// The typed error for an expired deadline: `Busy` when the last word
+/// heard was a `Busy` frame (it tells the caller *why* the deadline ran
+/// out), a bare `Deadline` otherwise.
+pub(crate) fn deadline_error(client: u32, seq: u64, attempts: u32, shed: bool) -> ServiceError {
+    if shed {
+        ServiceError::Busy {
             client,
             seq,
             attempts,
-        },
-        Some(KIND_UNAVAILABLE) => ServiceError::Unavailable {
+        }
+    } else {
+        ServiceError::Deadline {
             client,
             seq,
             attempts,
-        },
-        _ => ServiceError::Deadline {
-            client,
-            seq,
-            attempts,
-        },
+        }
     }
 }
 
@@ -329,16 +290,23 @@ mod tests {
     }
 
     #[test]
-    fn patient_policy_never_retransmits_but_has_a_deadline() {
+    fn patient_policy_pins_its_timer_at_a_one_second_floor() {
         let p = RetryPolicy::patient();
-        assert_eq!(Rto::new(&p), None, "no floor, no timer state");
         assert_eq!(p.deadline, Duration::from_secs(30));
         assert_eq!(RetryPolicy::default(), p);
+        // The floor is above the backoff ceiling, so neither a sample nor
+        // an expiry moves the timer off it.
+        let mut t = Rto::new(&p);
+        assert_eq!(rto_us(&t), 1_000_000);
+        t.sample_us(50);
+        assert_eq!(rto_us(&t), 1_000_000);
+        t.back_off();
+        assert_eq!(rto_us(&t), 1_000_000);
     }
 
     #[test]
     fn the_floor_is_the_starting_value() {
-        let t = Rto::new(&RetryPolicy::lossy()).unwrap();
+        let t = Rto::new(&RetryPolicy::lossy());
         assert_eq!(t.rto, 250_000, "lossy() starts at its 250 µs floor");
         assert_eq!(t.ceiling, 160_000_000, "and backs off to 160 ms");
         assert_eq!(t.srtt, None);
@@ -437,7 +405,7 @@ mod tests {
 
     #[test]
     fn jitter_is_deterministic_and_keyed() {
-        let t = Rto::new(&RetryPolicy::lossy()).unwrap();
+        let t = Rto::new(&RetryPolicy::lossy());
         let a = t.timeout(42, 1, 9, 3);
         assert_eq!(t.timeout(42, 1, 9, 3), a);
         // Different coordinates draw different jitter (with overwhelming
@@ -454,20 +422,14 @@ mod tests {
             seq: 2,
             attempts: 3,
         };
-        assert!(busy.is_busy() && !busy.is_unavailable());
-        let unavail = ServiceError::Unavailable {
-            client: 0,
-            seq: 9,
-            attempts: 1,
-        };
-        assert!(unavail.is_unavailable() && !unavail.is_busy());
+        assert!(busy.is_busy());
         let deadline = ServiceError::Deadline {
             client: 4,
             seq: 5,
             attempts: 6,
         };
-        assert!(!deadline.is_busy() && !deadline.is_unavailable());
-        for e in [&busy, &unavail, &deadline] {
+        assert!(!deadline.is_busy());
+        for e in [&busy, &deadline] {
             assert!(!e.to_string().is_empty());
         }
         assert!(busy.to_string().contains("client 1 seq 2"));

@@ -19,23 +19,24 @@
 //!   drops / duplicates / corrupts / delays / disconnects frames between
 //!   the client handles and the inner transport.
 //! * **Client reliability** — [`ServiceClient::call`] carries a hard
-//!   deadline and (under a lossy [`RetryPolicy`]) retransmits with bounded
-//!   exponential backoff and seeded jitter, reusing the request's
-//!   `(client, seq)` identity; a dropped connection is reconnected and the
-//!   request retransmitted.
+//!   deadline and retransmits on a per-client timer (its floor set by the
+//!   [`RetryPolicy`]) or when a later reply proves a loss, reusing the
+//!   request's `(client, seq)` identity; a dropped connection is
+//!   reconnected and the request retransmitted.
 //! * **Server exactly-once** — each worker keeps a bounded per-client
 //!   dedup window mapping `(client, seq)` to the cached encoded response;
 //!   a retransmit of an already-applied request is answered from cache
 //!   (`service.dedup_hit`), never re-applied.
-//! * **Supervision & shedding** — a seeded [`KillPlan`] panics workers
-//!   mid-run and the supervisor loop respawns them per the configured
-//!   [`Recovery`] mode; bounded inboxes shed load at the high watermark
-//!   with a typed `Busy` outcome instead of queueing without bound.
+//! * **Supervision & shedding** — a seeded [`KillPlan`] panics workers of
+//!   a [`Recovery::Durable`] service mid-run, and the supervisor loop
+//!   recovers their shards and respawns them; bounded inboxes shed load at
+//!   the high watermark with a typed `Busy` outcome instead of queueing
+//!   without bound.
 //!
 //! Observability follows the repo's single-writer lane discipline with
 //! `workers + clients + 1` lanes: worker `w` writes lane `w`
 //! (`service.route`, `service.queue_depth`, `service.dedup_hit`,
-//! `service.respawn`, `service.unavailable`), client `c` writes lane
+//! `service.respawn`), client `c` writes lane
 //! `workers + c` (`service.retry`, `service.shed`, `service.stale_reply`,
 //! `service.garbled`), the `service.inject.*` counters are written on the
 //! lane of the fault lane they damage (serialized by that lane's lock),
@@ -52,9 +53,7 @@ use crate::shard::{DurableShard, Shard};
 use crate::socket::{Socket, SocketObs};
 use crate::supervise::{KillPlan, KillState, Recovery};
 use crate::transport::{Delivery, InProcess, Inboxes, Transport, TransportConfig};
-use crate::wire::{
-    control_frame, response_frame, Frame, WireCodec, KIND_REQUEST, KIND_UNAVAILABLE,
-};
+use crate::wire::{response_frame, Frame, WireCodec, KIND_REQUEST};
 use std::collections::{BTreeMap, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -83,7 +82,6 @@ pub(crate) struct ServiceObs {
     pub(crate) garbled: sbu_obs::Counter,
     pub(crate) dedup_hit: sbu_obs::Counter,
     pub(crate) respawn: sbu_obs::Counter,
-    pub(crate) unavailable: sbu_obs::Counter,
 }
 
 impl ServiceObs {
@@ -99,7 +97,6 @@ impl ServiceObs {
             garbled: registry.counter("service.garbled"),
             dedup_hit: registry.counter("service.dedup_hit"),
             respawn: registry.counter("service.respawn"),
-            unavailable: registry.counter("service.unavailable"),
         }
     }
 }
@@ -158,20 +155,21 @@ where
     }
 
     /// Inject seeded transport faults per `profile` (wrapped around
-    /// whichever transport is configured). A profile with any loss-shaped
-    /// rate requires a retry policy with an attempt timeout.
+    /// whichever transport is configured).
     pub fn fault(mut self, profile: FaultProfile) -> Self {
         self.fault = Some(profile);
         self
     }
 
-    /// Kill workers on a seeded schedule (supervision torture).
+    /// Kill workers on a seeded schedule (supervision torture). Requires
+    /// [`Recovery::Durable`]: every kill recovers.
     pub fn kill(mut self, plan: KillPlan) -> Self {
         self.kill = Some(plan);
         self
     }
 
-    /// What survives a worker kill (default [`Recovery::Volatile`]).
+    /// What the shards are made of (default [`Recovery::Volatile`]); a
+    /// [`kill`](Self::kill) plan requires [`Recovery::Durable`].
     pub fn recovery(mut self, recovery: Recovery) -> Self {
         self.recovery = recovery;
         self
@@ -207,13 +205,9 @@ where
         // would only surface as calls timing out.
         if let Some(plan) = self.kill {
             assert!(plan.period >= 2, "kill period must be ≥ 2");
-        }
-        if let Some(f) = self.fault {
-            let lossy = f.drop > 0.0 || f.delay > 0.0 || f.corrupt > 0.0 || f.disconnect > 0.0;
             assert!(
-                !lossy || self.retry.attempt_timeout.is_some(),
-                "a loss-shaped fault profile requires a RetryPolicy with an attempt timeout \
-                 (e.g. RetryPolicy::lossy())"
+                self.recovery == Recovery::Durable,
+                "a kill plan requires Recovery::Durable"
             );
         }
         let map = ShardMap::new(self.shards);
@@ -501,7 +495,7 @@ struct WorkerState<S: WireCodec> {
 }
 
 /// The supervisor: run the worker loop, and when a seeded kill unwinds it,
-/// recover state per the recovery mode and run it again.
+/// recover the durable shards and run it again.
 fn supervised_worker<S>(
     ctx: WorkerCtx<S>,
     transport: &dyn Transport,
@@ -528,28 +522,19 @@ where
                     std::panic::resume_unwind(payload); // a real bug
                 }
                 obs.respawn.incr(ctx.w);
-                match &mut state.shards {
-                    WorkerShards::Volatile(_) => {
-                        // The worker's memory died with it: fresh shards,
-                        // empty dedup window. (The in-flight request was
-                        // answered `Unavailable` before the panic.)
-                        state.shards =
-                            WorkerShards::build(Recovery::Volatile, &ctx.shard_ids, &ctx.template);
-                        state.dedup.clear();
-                    }
-                    WorkerShards::Durable(shards) => {
-                        // Real crash–restart: resolve persists, wipe
-                        // volatile registers, replay per-key recovery. The
-                        // dedup window models a persisted response log and
-                        // survives, keeping exactly-once across the crash.
-                        for shard in shards.iter_mut() {
-                            let violations = shard.crash_recover();
-                            assert!(
-                                violations.is_empty(),
-                                "durability violations on respawn: {violations:?}"
-                            );
-                        }
-                    }
+                let WorkerShards::Durable(shards) = &mut state.shards else {
+                    unreachable!("build accepts a kill plan only with Recovery::Durable");
+                };
+                // Real crash–restart: resolve persists, wipe volatile
+                // registers, replay per-key recovery. The dedup window
+                // models a persisted response log and survives, keeping
+                // exactly-once across the crash.
+                for shard in shards.iter_mut() {
+                    let violations = shard.crash_recover();
+                    assert!(
+                        violations.is_empty(),
+                        "durability violations on respawn: {violations:?}"
+                    );
                 }
                 if let Some(kill) = &mut state.kill {
                     kill.redraw();
@@ -610,23 +595,12 @@ fn handle_request<S>(
 {
     let w = ctx.w;
 
-    // The seeded kill hook: die *before* applying, so an interrupted
-    // request is either answered `Unavailable` (volatile — the client
-    // retries) or requeued for the recovered shard (durable). Either way
-    // no ack was sent and no state changed: never silently lost, never
-    // double-applied.
+    // The seeded kill hook: die *before* applying, with the interrupted
+    // request requeued for the recovered shards. No ack was sent and no
+    // state changed: never silently lost, never double-applied.
     if let Some(kill) = &mut state.kill {
         if kill.fires() {
-            match ctx.recovery {
-                Recovery::Volatile => {
-                    obs.unavailable.incr(w);
-                    transport.send_reply(
-                        frame.client,
-                        Delivery::Intact(control_frame(frame, KIND_UNAVAILABLE).to_bytes()),
-                    );
-                }
-                Recovery::Durable => ctx.inboxes.requeue_front(w, frame.to_bytes()),
-            }
+            ctx.inboxes.requeue_front(w, frame.to_bytes());
             std::panic::panic_any(SeededKill);
         }
     }
@@ -871,33 +845,6 @@ mod tests {
     }
 
     #[test]
-    fn volatile_kills_surface_unavailable_and_retries_absorb_them() {
-        let mut svc = Service::builder(2)
-            .kill(KillPlan::every(8))
-            .recovery(Recovery::Volatile)
-            .seed(3)
-            .build(CounterSpec::new());
-        // Every call must succeed: kills produce typed Unavailable control
-        // frames that the retry loop absorbs by retransmitting.
-        for i in 0..100u64 {
-            svc.client(0)
-                .call(i % 4, &CounterOp::Inc)
-                .unwrap_or_else(|e| panic!("op {i}: {e}"));
-        }
-        let snap = svc.obs_snapshot();
-        svc.shutdown();
-        if cfg!(feature = "obs") {
-            assert!(snap.counter("service.respawn") > 0, "kills must fire");
-            assert_eq!(
-                snap.counter("service.respawn"),
-                snap.counter("service.unavailable"),
-                "each volatile kill answers exactly its in-flight request"
-            );
-            assert!(snap.counter("service.retry") > 0);
-        }
-    }
-
-    #[test]
     fn durable_kills_lose_no_acked_operations() {
         let mut svc = Service::builder(2)
             .kill(KillPlan::every(8))
@@ -919,8 +866,8 @@ mod tests {
         if cfg!(feature = "obs") {
             assert!(snap.counter("service.respawn") > 0, "kills must fire");
             // Durable kills requeue the in-flight frame: the client never
-            // even notices, so no Unavailable and no client retries.
-            assert_eq!(snap.counter("service.unavailable"), 0);
+            // even notices, so it retransmits nothing.
+            assert_eq!(snap.counter("service.retry"), 0);
         }
     }
 
@@ -929,6 +876,14 @@ mod tests {
     fn build_rejects_a_kill_period_below_two() {
         let _ = Service::builder(1)
             .kill(KillPlan::every(1))
+            .build(CounterSpec::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "a kill plan requires Recovery::Durable")]
+    fn build_rejects_a_volatile_kill() {
+        let _ = Service::builder(1)
+            .kill(KillPlan::every(8))
             .build(CounterSpec::new());
     }
 }

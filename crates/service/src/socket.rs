@@ -35,7 +35,7 @@ use sbu_obs::Counter;
 
 use crate::route::ShardMap;
 use crate::transport::{ClientConn, ConnEvent, Delivery, Inboxes, Transport};
-use crate::wire::{control_frame, FrameDecoder, KIND_BUSY};
+use crate::wire::{busy_frame, FrameDecoder};
 
 /// How long a reader blocks in `read` before rechecking the stop flag.
 const READ_POLL: Duration = Duration::from_millis(25);
@@ -429,7 +429,7 @@ fn spawn_reader(
                                 // directly so the client's retry loop backs
                                 // off — the socket itself never blocks on a
                                 // full inbox.
-                                let busy = control_frame(&frame, KIND_BUSY);
+                                let busy = busy_frame(&frame);
                                 let _ = writer.lock().write_all(&busy.to_bytes());
                             }
                         }

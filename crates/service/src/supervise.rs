@@ -2,26 +2,23 @@
 //!
 //! The fault the paper's construction is *about* — a processor dying
 //! mid-protocol — is modeled at the service layer as a worker thread
-//! panicking between requests. A [`KillPlan`] arms a seeded kill hook in
-//! each worker: after a pseudo-random number of requests (uniform in
-//! `[period/2, 3·period/2]`) the worker panics **before applying** the
-//! frame it just decoded. The supervisor (the worker thread's own outer
-//! loop, see `server.rs`) catches the unwind, counts `service.respawn`,
-//! and restarts the loop with state rebuilt per the [`Recovery`] mode:
+//! panicking between requests. In the paper's fault model a processor
+//! stops and shared memory survives, so every kill recovers: a
+//! [`KillPlan`] is accepted only with [`Recovery::Durable`] shards, whose
+//! memory is a [`DurableMem`](sbu_mem::DurableMem)-backed word space
+//! ([`DurableShard`](crate::DurableShard)).
 //!
-//! * [`Recovery::Volatile`] — shard state dies with the worker. The
-//!   in-flight request is answered with a typed `Unavailable` control
-//!   frame *before* the panic, so it is never silently lost; clients
-//!   retry against the respawned (fresh) shard.
-//! * [`Recovery::Durable`] — each shard's memory is a
-//!   [`DurableMem`](sbu_mem::DurableMem)-backed word space
-//!   ([`DurableShard`](crate::DurableShard)). The crash runs the repo's real
-//!   crash–restart protocol (`crash` resolves unfenced persists; the
-//!   shared word space survives, as it does when a worker *thread* dies
-//!   in-process) and every materialized `Universal` replays
-//!   [`recover`](sbu_core::Universal::recover); the in-flight frame is
-//!   pushed back onto the inbox and re-processed after recovery. No ack
-//!   was sent and no apply completed, so exactly-once is preserved.
+//! The plan arms a seeded kill hook in each worker: after a pseudo-random
+//! number of requests (uniform in `[period/2, 3·period/2]`) the worker
+//! pushes the frame it just decoded back onto its inbox and panics
+//! **before applying** it. The supervisor (the worker thread's own outer
+//! loop, see `server.rs`) catches the unwind, counts `service.respawn`,
+//! runs the repo's real crash–restart protocol (`crash` resolves unfenced
+//! persists; the shared word space survives, as it does when a worker
+//! *thread* dies in-process), has every materialized `Universal` replay
+//! [`recover`](sbu_core::Universal::recover), and restarts the loop, which
+//! takes the requeued frame first. No ack was sent and no apply completed,
+//! so exactly-once is preserved and the client never sees the kill.
 //!
 //! Because kills are counted in *requests processed* (not wall time), a
 //! 1-client / 1-worker run is fully deterministic: the same seed kills at
@@ -45,11 +42,13 @@ impl KillPlan {
     }
 }
 
-/// What a shard's state is made of, and therefore what survives a kill.
+/// What a shard's state is made of, and therefore whether a worker can be
+/// killed and recover.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Recovery {
-    /// Plain in-memory shards: a kill loses the worker's shard state, and
-    /// the in-flight request is answered `Unavailable`. The default.
+    /// Plain in-memory shards, the default. They cannot be killed:
+    /// [`ServiceBuilder::build`](crate::ServiceBuilder::build) rejects a
+    /// [`KillPlan`] without [`Recovery::Durable`].
     #[default]
     Volatile,
     /// [`DurableMem`](sbu_mem::DurableMem)-backed shards: a kill runs the

@@ -33,7 +33,8 @@
 //!
 //! Every blob an inbox or an in-process reply box holds is exactly one
 //! encoded frame, and an inbox at its high watermark is answered with a
-//! [`KIND_BUSY`] frame to the refused frame's client on every carrier.
+//! [`KIND_BUSY`](crate::KIND_BUSY) frame to the refused frame's client on
+//! every carrier.
 
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
@@ -42,7 +43,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use crate::wire::{control_frame, Frame, KIND_BUSY};
+use crate::wire::{busy_frame, Frame};
 
 /// Which transport a [`crate::Service`] is built on.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -353,7 +354,7 @@ impl ClientConn for InProcessConn {
         // checksum gets no answer, as the worker would have dropped it.
         if let Ok(frame) = Frame::decode(&bytes) {
             if let Some(replies) = self.transport.replies.get(frame.client as usize) {
-                replies.push(control_frame(&frame, KIND_BUSY).to_bytes());
+                replies.push(busy_frame(&frame).to_bytes());
             }
         }
     }

@@ -18,11 +18,10 @@
 //! loss like a drop.
 //!
 //! `kind` distinguishes application `Request`/`Response` frames from the
-//! *control* responses the fault-tolerant plane introduces: [`KIND_BUSY`]
-//! (the owning worker's mailbox hit its high watermark and the request was
-//! shed instead of queued) and [`KIND_UNAVAILABLE`] (the owning shard
-//! worker crashed with the request in flight and its volatile state is
-//! gone). Both are retryable; neither carries a payload.
+//! one *control* response the fault-tolerant plane introduces,
+//! [`KIND_BUSY`]: the owning worker's mailbox hit its high watermark and
+//! the request was shed instead of queued. It is retryable and carries no
+//! payload.
 //!
 //! Payloads are spec-typed: the [`WireCodec`] trait extends a
 //! [`SequentialSpec`] with byte encodings for its `Op` and `Resp`, so a
@@ -43,10 +42,6 @@ pub const KIND_RESPONSE: u8 = 1;
 /// Frame kind tag: control response — the request was shed at the worker's
 /// mailbox high watermark instead of queued. Retryable after backoff.
 pub const KIND_BUSY: u8 = 2;
-/// Frame kind tag: control response — the owning shard worker crashed with
-/// this request in flight and its volatile state was lost. Retryable; the
-/// retried operation lands on the respawned shard.
-pub const KIND_UNAVAILABLE: u8 = 3;
 
 /// Bytes of a frame after the length prefix, before the payload
 /// (checksum + kind + client + seq + key).
@@ -134,8 +129,7 @@ pub(crate) fn checksum(bytes: &[u8]) -> u32 {
 /// appears here.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Frame {
-    /// [`KIND_REQUEST`], [`KIND_RESPONSE`], [`KIND_BUSY`] or
-    /// [`KIND_UNAVAILABLE`].
+    /// [`KIND_REQUEST`], [`KIND_RESPONSE`] or [`KIND_BUSY`].
     pub kind: u8,
     /// The client the frame belongs to (sender of a request, addressee of
     /// a response).
@@ -463,12 +457,10 @@ pub fn response_frame<S: WireCodec>(req: &Frame, resp: &S::Resp) -> Frame {
     }
 }
 
-/// Encode a payload-free control response (`KIND_BUSY` / `KIND_UNAVAILABLE`)
-/// answering `req`.
-pub fn control_frame(req: &Frame, kind: u8) -> Frame {
-    debug_assert!(kind == KIND_BUSY || kind == KIND_UNAVAILABLE);
+/// Encode the payload-free `KIND_BUSY` control response answering `req`.
+pub fn busy_frame(req: &Frame) -> Frame {
     Frame {
-        kind,
+        kind: KIND_BUSY,
         client: req.client,
         seq: req.seq,
         key: req.key,
@@ -636,14 +628,12 @@ mod tests {
     #[test]
     fn control_frames_round_trip() {
         let req = request_frame::<CounterSpec>(2, 11, 99, &CounterOp::Inc);
-        for kind in [KIND_BUSY, KIND_UNAVAILABLE] {
-            let ctl = control_frame(&req, kind);
-            assert_eq!(ctl.kind, kind);
-            assert_eq!((ctl.client, ctl.seq, ctl.key), (2, 11, 99));
-            assert!(ctl.payload.is_empty());
-            let mut dec = FrameDecoder::new();
-            dec.push(&ctl.to_bytes());
-            assert_eq!(dec.next_frame().unwrap(), Some(ctl));
-        }
+        let ctl = busy_frame(&req);
+        assert_eq!(ctl.kind, KIND_BUSY);
+        assert_eq!((ctl.client, ctl.seq, ctl.key), (2, 11, 99));
+        assert!(ctl.payload.is_empty());
+        let mut dec = FrameDecoder::new();
+        dec.push(&ctl.to_bytes());
+        assert_eq!(dec.next_frame().unwrap(), Some(ctl));
     }
 }

@@ -2,9 +2,11 @@
 //!
 //! A client's requests to one worker are applied and answered in the order
 //! they were sent, so a reply from that worker to a later request proves
-//! that an older request sent once (or its reply) was lost. These tests set
-//! the retransmission timer's floor to 5 s, far beyond their 1 s budget, so
-//! only that signal can recover a loss in time:
+//! that an older request sent once (or its reply) was lost. These tests
+//! run under two policies whose timers cannot fire within their 500 ms
+//! budget, so only that signal can recover a loss in time: a 5 s timer
+//! floor, and the default policy (a 1 s floor, never jittered below
+//! 750 ms), which every client that sets no policy runs:
 //!
 //! * one worker, 4 requests in flight, a seeded fault plane that drops one
 //!   request with a later request behind it: every `wait` returns quickly,
@@ -26,12 +28,16 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 const IN_FLIGHT: usize = 4;
-const BUDGET: Duration = Duration::from_secs(1);
+const BUDGET: Duration = Duration::from_millis(500);
 
-/// A timer that cannot fire within [`BUDGET`]: a 5 s floor, which is
-/// above the timer's backoff ceiling and so pins it there.
-fn slow_timer() -> RetryPolicy {
-    RetryPolicy::lossy().with_attempt_timeout(Duration::from_secs(5))
+/// Policies whose timers cannot fire within [`BUDGET`]: a 5 s floor, and
+/// the default's 1 s floor. Both are above the timer's backoff ceiling
+/// and so pin it there.
+fn slow_timers() -> [RetryPolicy; 2] {
+    [
+        RetryPolicy::lossy().with_attempt_timeout(Duration::from_secs(5)),
+        RetryPolicy::default(),
+    ]
 }
 
 fn drop_only() -> FaultProfile {
@@ -120,14 +126,14 @@ fn pipeline(svc: &Service<CounterSpec>, n: u64) -> Vec<u64> {
         .collect()
 }
 
-fn one_lost_request_costs_one_retransmission(transport: TransportConfig) {
+fn one_lost_request_costs_one_retransmission(transport: TransportConfig, retry: RetryPolicy) {
     let (seed, lost) = one_drop_with_a_successor();
     let mut svc = Service::builder(1)
         .workers(1)
         .clients(1)
         .transport(transport)
         .fault(drop_only())
-        .retry(slow_timer())
+        .retry(retry)
         .seed(seed)
         .build(CounterSpec::new());
     let replies = pipeline(&svc, IN_FLIGHT as u64);
@@ -144,12 +150,12 @@ fn one_lost_request_costs_one_retransmission(transport: TransportConfig) {
     }
 }
 
-fn interleaved_workers_prove_no_loss(transport: TransportConfig) {
+fn interleaved_workers_prove_no_loss(transport: TransportConfig, retry: RetryPolicy) {
     let mut svc = Service::builder(4)
         .workers(2)
         .clients(1)
         .transport(transport)
-        .retry(slow_timer())
+        .retry(retry)
         .build(CounterSpec::new());
     let replies = pipeline(&svc, 16);
     assert_eq!(replies, vec![1; 16]);
@@ -162,26 +168,34 @@ fn interleaved_workers_prove_no_loss(transport: TransportConfig) {
 
 #[test]
 fn in_process_loss_is_recovered_by_the_next_reply() {
-    one_lost_request_costs_one_retransmission(TransportConfig::InProcess);
+    for retry in slow_timers() {
+        one_lost_request_costs_one_retransmission(TransportConfig::InProcess, retry);
+    }
 }
 
 #[test]
 fn unix_socket_loss_is_recovered_by_the_next_reply() {
-    let path = scratch_socket("drop");
-    one_lost_request_costs_one_retransmission(TransportConfig::Unix(path.clone()));
-    let _ = std::fs::remove_file(path);
+    for retry in slow_timers() {
+        let path = scratch_socket("drop");
+        one_lost_request_costs_one_retransmission(TransportConfig::Unix(path.clone()), retry);
+        let _ = std::fs::remove_file(path);
+    }
 }
 
 #[test]
 fn in_process_cross_worker_order_is_not_a_loss() {
-    interleaved_workers_prove_no_loss(TransportConfig::InProcess);
+    for retry in slow_timers() {
+        interleaved_workers_prove_no_loss(TransportConfig::InProcess, retry);
+    }
 }
 
 #[test]
 fn unix_socket_cross_worker_order_is_not_a_loss() {
-    let path = scratch_socket("clean");
-    interleaved_workers_prove_no_loss(TransportConfig::Unix(path.clone()));
-    let _ = std::fs::remove_file(path);
+    for retry in slow_timers() {
+        let path = scratch_socket("clean");
+        interleaved_workers_prove_no_loss(TransportConfig::Unix(path.clone()), retry);
+        let _ = std::fs::remove_file(path);
+    }
 }
 
 #[test]

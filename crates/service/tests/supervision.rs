@@ -1,19 +1,14 @@
 //! Shard-kill torture: 100 seeds of mid-run worker panics.
 //!
-//! The supervisor contract under test, per recovery mode:
-//!
-//! - **Durable**: a killed worker respawns, rebuilds every key's
-//!   `Universal` instance from `DurableMem`, and requeues the in-flight
-//!   frame — zero acked operations lost, the client never even notices.
-//! - **Volatile**: state is gone by design, but the failure is *typed* —
-//!   the in-flight request is answered with an `Unavailable` control frame
-//!   that the client's retry loop absorbs by retransmitting. No call ever
-//!   hangs or silently fails.
+//! The supervisor contract under test (kills run on durable shards only):
+//! a killed worker respawns, rebuilds every key's `Universal` instance
+//! from `DurableMem`, and requeues the in-flight frame — zero acked
+//! operations lost, and the client never even notices.
 //!
 //! Plus the determinism clause: with one client and one worker, two runs
-//! of the same seed produce byte-identical reports. The durable contract
-//! is also checked over a Unix-domain socket, where the requeued frame goes
-//! back into the socket transport's inbox.
+//! of the same seed produce byte-identical reports. The contract is also
+//! checked over a Unix-domain socket, where the requeued frame goes back
+//! into the socket transport's inbox.
 
 use sbu_service::{KillPlan, Recovery, Service, ShardStats, TransportConfig};
 use sbu_spec::specs::{CounterOp, CounterSpec};
@@ -27,13 +22,12 @@ const KEYS: u64 = 4;
 /// shutdown.
 fn run_seed_over(
     seed: u64,
-    recovery: Recovery,
     transport: TransportConfig,
 ) -> (u64, sbu_obs::Snapshot, Vec<ShardStats>) {
     let mut svc = Service::builder(2)
         .transport(transport)
         .kill(KillPlan::every(6))
-        .recovery(recovery)
+        .recovery(Recovery::Durable)
         .seed(seed)
         .build(CounterSpec::new());
     let client = svc.client(0);
@@ -51,24 +45,24 @@ fn run_seed_over(
 }
 
 /// [`run_seed_over`] the in-process transport.
-fn run_seed(seed: u64, recovery: Recovery) -> (u64, sbu_obs::Snapshot, Vec<ShardStats>) {
-    run_seed_over(seed, recovery, TransportConfig::InProcess)
+fn run_seed(seed: u64) -> (u64, sbu_obs::Snapshot, Vec<ShardStats>) {
+    run_seed_over(seed, TransportConfig::InProcess)
 }
 
 #[test]
 fn durable_kill_torture_loses_no_acked_ops_across_100_seeds() {
     let mut respawns = 0u64;
     for seed in 0..SEEDS {
-        let (total, snap, _) = run_seed(seed, Recovery::Durable);
+        let (total, snap, _) = run_seed(seed);
         assert_eq!(
             total, OPS,
             "seed {seed}: durable respawn lost acked increments"
         );
         if cfg!(feature = "obs") {
             // Durable respawns requeue the in-flight frame, so the client
-            // never sees a typed failure, let alone a lost op.
+            // never retransmits, let alone loses an op.
             assert_eq!(
-                snap.counter("service.unavailable"),
+                snap.counter("service.retry"),
                 0,
                 "seed {seed}: durable kills must be invisible to clients"
             );
@@ -91,7 +85,7 @@ fn durable_kills_over_a_unix_socket_lose_no_acked_ops() {
             "sbu-supervision-{}-{seed}.sock",
             std::process::id()
         ));
-        let (total, snap, _) = run_seed_over(seed, Recovery::Durable, TransportConfig::Unix(path));
+        let (total, snap, _) = run_seed_over(seed, TransportConfig::Unix(path));
         assert_eq!(
             total, OPS,
             "seed {seed}: durable respawn over a socket lost acked increments"
@@ -102,34 +96,9 @@ fn durable_kills_over_a_unix_socket_lose_no_acked_ops() {
                 "seed {seed}: kills must fire"
             );
             assert_eq!(
-                snap.counter("service.unavailable"),
+                snap.counter("service.retry"),
                 0,
                 "seed {seed}: durable kills must be invisible to clients"
-            );
-        }
-    }
-}
-
-#[test]
-fn volatile_kill_torture_is_absorbed_by_typed_retries_across_100_seeds() {
-    for seed in 0..SEEDS {
-        // `run_seed` already asserts every call acks: a volatile kill may
-        // wipe counter state (that loss is the documented contract), but
-        // it must surface as an `Unavailable` control frame the retry
-        // loop absorbs — never a hang, never an untyped error.
-        let (_, snap, _) = run_seed(seed, Recovery::Volatile);
-        if cfg!(feature = "obs") {
-            let respawn = snap.counter("service.respawn");
-            assert!(respawn > 0, "seed {seed}: kills must fire");
-            assert_eq!(
-                respawn,
-                snap.counter("service.unavailable"),
-                "seed {seed}: each volatile kill answers exactly its \
-                 in-flight request with a typed Unavailable"
-            );
-            assert!(
-                snap.counter("service.retry") >= respawn,
-                "seed {seed}: every Unavailable must be retransmitted"
             );
         }
     }
@@ -138,8 +107,8 @@ fn volatile_kill_torture_is_absorbed_by_typed_retries_across_100_seeds() {
 /// Render a run's observable outcome as a canonical report string: the
 /// acked total, per-shard stats, and every service counter sorted by name
 /// (sorting removes any registration-order sensitivity).
-fn report(seed: u64, recovery: Recovery) -> String {
-    let (total, snap, stats) = run_seed(seed, recovery);
+fn report(seed: u64) -> String {
+    let (total, snap, stats) = run_seed(seed);
     let mut counters = snap.counters.clone();
     counters.sort();
     let mut out = format!("seed={seed} total={total}\n");
@@ -160,13 +129,11 @@ fn kill_torture_reports_are_byte_identical_at_one_worker() {
     // The single-worker analog of `--max-threads 1`: with one client and
     // one worker there is no scheduling freedom, so the whole run — kill
     // points, recovery, retries, counters — must replay exactly.
-    for recovery in [Recovery::Durable, Recovery::Volatile] {
-        for seed in [1u64, 17, 99] {
-            assert_eq!(
-                report(seed, recovery),
-                report(seed, recovery),
-                "seed {seed} under {recovery:?} must be deterministic"
-            );
-        }
+    for seed in [1u64, 17, 99] {
+        assert_eq!(
+            report(seed),
+            report(seed),
+            "seed {seed} must be deterministic"
+        );
     }
 }

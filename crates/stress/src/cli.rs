@@ -45,7 +45,7 @@ exit codes (assertable by CI without grepping the verdict lines):
   3  an injected fault escaped: --inject / --torn lying ran but the monitor
      caught nothing
   4  capacity overflow: windows outgrew the checker and went unverified
-  5  load shed: requests ended in typed Busy/Unavailable capacity outcomes
+  5  load shed: requests ended in the typed Busy capacity outcome
      (service-plane drivers) — overload, not a correctness verdict";
 
 /// Why an argument list failed to parse.

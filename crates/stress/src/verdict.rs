@@ -13,11 +13,11 @@
 pub enum ExitStatus {
     /// Everything linearized; injected faults (if any) were caught.
     Clean,
-    /// The run shed load: requests ended in *typed* capacity outcomes
-    /// (`Busy` at a mailbox high watermark, `Unavailable` from a crashed
-    /// volatile shard) that exhausted their retry budget. Everything that
-    /// completed was correct — this is overload, not a verdict, and it
-    /// must never masquerade as (or mask) a violation.
+    /// The run shed load: requests ended in the *typed* capacity outcome
+    /// (`Busy` at a mailbox high watermark) after exhausting their retry
+    /// budget. Everything that completed was correct — this is overload,
+    /// not a verdict, and it must never masquerade as (or mask) a
+    /// violation.
     Capacity,
     /// Windows outgrew the checker's capacity and went unverified — a
     /// configuration problem, not a verdict.

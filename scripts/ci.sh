@@ -98,9 +98,9 @@ done
 
 step "scenario coverage self-compare (two capped same-seed runs must be regression-free)"
 cargo run --release --quiet --offline -p sbu-bench --bin exp -- scenarios \
-    --scenario steady-state --seed 7 --max-threads 1 --out "$tmp/cov-base" || true
+    --scenario steady-state --seed 7 --max-threads 1 --out "$tmp/cov-base"
 cargo run --release --quiet --offline -p sbu-bench --bin exp -- scenarios \
-    --scenario steady-state --seed 7 --max-threads 1 --out "$tmp/cov-cur" || true
+    --scenario steady-state --seed 7 --max-threads 1 --out "$tmp/cov-cur"
 cargo run --release --quiet --offline -p sbu-bench --bin exp -- scenarios \
     --compare "$tmp/cov-base/BENCH_scenarios.json" "$tmp/cov-cur/BENCH_scenarios.json"
 
@@ -112,7 +112,7 @@ else
     echo "benchmarks/BENCH_e8_baseline.json absent; perf smoke skipped"
 fi
 
-step "universal construction on real threads (exp e10 e11: monitored torture, block-apply backoff re-sweep with counter read-back, and durability tax at 1-8 threads)"
+step "universal construction on real threads (exp e10 e11: monitored torture and durability tax at 1-8 threads)"
 cargo run --release --quiet --offline -p sbu-bench --bin exp -- e10 e11 >/dev/null
 
 step "service unit tests (dark config; the obs config ran in the obs-enabled block above)"
