@@ -333,6 +333,9 @@ pub struct CellResult {
     pub windows_checked: usize,
     /// Violation descriptions (non-empty exactly for `Caught`/`Violation`).
     pub violations: Vec<String>,
+    /// Why the cell was not run ([`skip_reason`]'s answer; `Some` exactly
+    /// for `Skipped` cells).
+    pub skip_reason: Option<&'static str>,
     /// Merged observability snapshot across the cell's phases (empty
     /// without the `obs` feature).
     pub metrics: sbu_obs::Snapshot,

@@ -93,6 +93,19 @@ pub fn render_scenario_report(result: &ScenarioResult, rc: &RunConfig) -> String
         );
     }
     let _ = writeln!(out);
+    let skipped: Vec<_> = result
+        .cells
+        .iter()
+        .filter_map(|c| Some((c, c.skip_reason?)))
+        .collect();
+    if !skipped.is_empty() {
+        let _ = writeln!(out, "Skipped cells:");
+        let _ = writeln!(out);
+        for (c, reason) in skipped {
+            let _ = writeln!(out, "- `{}`: {reason}.", c.key());
+        }
+        let _ = writeln!(out);
+    }
 
     // Instruments: the scenario's merged registry snapshot, citing the
     // sbu-obs counters each backend/object attached. Empty (and said so)
@@ -169,7 +182,7 @@ fn cell_json(c: &CellResult) -> Json {
             )
             .collect(),
     );
-    Json::obj(vec![
+    let mut fields = vec![
         ("object", Json::Str(c.object.key().to_string())),
         ("backend", Json::Str(c.backend.key().to_string())),
         ("expected", Json::Str(c.expected.key().to_string())),
@@ -180,7 +193,13 @@ fn cell_json(c: &CellResult) -> Json {
         ("violations", Json::Num(c.violations.len() as f64)),
         ("seed", Json::Num(c.seed as f64)),
         ("counters", counters),
-    ])
+    ];
+    // The coverage signature does not read the reason, so documents with
+    // and without it compare alike.
+    if let Some(reason) = c.skip_reason {
+        fields.push(("skip_reason", Json::Str(reason.to_string())));
+    }
+    Json::obj(fields)
 }
 
 /// The whole run as `BENCH_scenarios.json`.
@@ -247,6 +266,7 @@ mod tests {
                 completed_ops: 100,
                 windows_checked: 7,
                 violations: Vec::new(),
+                skip_reason: None,
                 metrics: Snapshot {
                     counters: vec![("mem.jams".into(), 50)],
                     histograms: Vec::new(),
@@ -269,6 +289,40 @@ mod tests {
                 "report must not contain timing field {forbidden:?}"
             );
         }
+    }
+
+    #[test]
+    fn a_thread_capped_run_names_the_cap_as_the_skip_reason() {
+        let rc = RunConfig {
+            max_threads: 1,
+            ..RunConfig::default()
+        };
+        let s = scenario::find("steady-state").unwrap();
+        let cell =
+            crate::run::run_cell(&s, ScenarioObject::JamWord, ScenarioBackend::TornLying, &rc);
+        let result = ScenarioResult {
+            scenario: s,
+            cells: vec![cell],
+        };
+        let body = render_scenario_report(&result, &rc);
+        let line = body
+            .lines()
+            .find(|l| l.starts_with("- `jam-word/torn-lying`: "))
+            .expect("the skipped cell is listed with its reason");
+        assert!(line.contains("--max-threads cap"), "{line}");
+        let doc = bench_json(&[result], &rc);
+        let cells = doc.get("scenarios").unwrap().as_arr().unwrap()[0]
+            .get("cells")
+            .unwrap()
+            .as_arr()
+            .unwrap();
+        let reason = cells[0].get("skip_reason").and_then(Json::as_str);
+        assert!(
+            reason.is_some_and(|r| r.contains("--max-threads cap")),
+            "{reason:?}"
+        );
+        // The coverage signature ignores the reason.
+        assert!(crate::coverage::signature_from_json(&doc).is_ok());
     }
 
     #[test]

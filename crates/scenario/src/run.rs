@@ -499,6 +499,11 @@ where
     svc.shutdown();
     let mut out: PhaseOutcome = report.into();
     merge_snapshot(&mut out.metrics, &svc.obs_snapshot());
+    // Inbox depth is sampled when a worker drains its inbox, so it sees
+    // thread interleaving even on one client thread, not the op stream.
+    out.metrics
+        .histograms
+        .retain(|(name, _)| name != "service.queue_depth");
     if socket {
         // How many kernel reads a stream took, and where the frame
         // boundaries fell inside them, is scheduler timing — not part of
@@ -523,7 +528,7 @@ pub fn run_cell(
 ) -> CellResult {
     let expected = expected_verdict(backend);
     let seed = cell_seed(rc.seed, scenario.name, object, backend);
-    if skip_reason(scenario, object, backend, rc.max_threads).is_some() {
+    if let Some(reason) = skip_reason(scenario, object, backend, rc.max_threads) {
         return CellResult {
             object,
             backend,
@@ -535,6 +540,7 @@ pub fn run_cell(
             completed_ops: 0,
             windows_checked: 0,
             violations: Vec::new(),
+            skip_reason: Some(reason),
             metrics: sbu_obs::Snapshot::default(),
             seed,
         };
@@ -596,6 +602,7 @@ pub fn run_cell(
         completed_ops,
         windows_checked,
         violations,
+        skip_reason: None,
         metrics,
         seed,
     }
@@ -676,6 +683,7 @@ mod tests {
                 "{object}"
             );
             assert_eq!(cell.total_ops, 0);
+            assert!(cell.skip_reason.is_some(), "{object}: no reason given");
             assert!(cell.is_ok());
         }
     }

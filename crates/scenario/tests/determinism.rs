@@ -26,9 +26,16 @@ fn scenarios(names: &[&str]) -> Vec<sbu_scenario::Scenario> {
 
 #[test]
 fn same_seed_same_bytes_on_one_thread() {
-    // One honest scenario and the adversary preset: determinism must hold
-    // for lying backends too (their lies are seeded like everything else).
-    let picked = scenarios(&["steady-state", "adversary-storm"]);
+    // One honest scenario, the adversary preset and the two transport
+    // scenarios: determinism must hold for lying backends too (their lies
+    // are seeded like everything else), and over the fault plane's lossy
+    // wire and worker kills.
+    let picked = scenarios(&[
+        "steady-state",
+        "adversary-storm",
+        "lossy-transport",
+        "shard-crash-storm",
+    ]);
     let config = rc(99);
     let a = run_matrix(&picked, &config);
     let b = run_matrix(&picked, &config);

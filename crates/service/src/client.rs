@@ -13,7 +13,9 @@
 //!
 //! * every retransmission reuses the original `(client, seq)` pair, so the
 //!   server's dedup window answers duplicates from cache — exactly-once
-//!   end to end;
+//!   end to end, as long as a retransmission arrives before its entry has
+//!   left the 64-entry window; a later one is applied again (DESIGN.md
+//!   §14, ROADMAP item 4);
 //! * a [`ConnEvent::Disconnected`] is handled by reconnect-and-retransmit,
 //!   which the same dedup window makes safe over a real socket;
 //! * a `Busy` control frame backs the client off and retransmits, and

@@ -1,7 +1,7 @@
 //! Seeded, deterministic transport-fault injection at the transport seam.
 //!
 //! `Faulty` is a *wrapper transport*: it sits between the client/server
-//! handles and any inner [`Transport`] (in-process mailboxes or a real
+//! handles and any inner transport (in-process mailboxes or a real
 //! socket) and, frame by frame, decides whether the frame is delivered
 //! intact, **dropped**, **duplicated**, **corrupted** (a byte flipped in
 //! flight — caught downstream by the frame checksum), **delayed** (held
@@ -26,7 +26,7 @@
 //! channel's own obs lane (writes are serialized by the channel's lock, so
 //! the single-writer lane discipline holds).
 
-use crate::transport::{ClientConn, ConnEvent, Delivery, Transport};
+use crate::transport::{ClientConn, ConnEvent, Delivery, Request, Transport};
 use crate::wire::{checksum, KIND_RESPONSE};
 use parking_lot::Mutex;
 use rand::rngs::SmallRng;
@@ -279,12 +279,15 @@ impl FaultyChannel {
     }
 }
 
-/// The fault injector as a wrapper [`Transport`]: every request passes a
+/// The fault injector as a wrapper transport: every request passes a
 /// per-worker lane on its way into the inner transport, every reply a
 /// per-client lane on its way out. Lane seeding matches the historic
 /// mailbox injector exactly (requests on lane `w`, replies on lane
 /// `workers + c`), so a fixed `(seed, traffic)` pair replays the same
-/// fault pattern it always did.
+/// fault pattern it always did. What a reply lane lets through goes back
+/// the way of the request whose reply passed it, so a reply a `delay`
+/// holds back goes out behind a later reply to its client, on that
+/// reply's stream.
 ///
 /// The durable-recovery requeue goes straight into the service's inboxes,
 /// past every carrier: those bytes never left the worker, so there is no
@@ -321,16 +324,16 @@ impl Faulty {
 }
 
 impl Transport for Faulty {
-    fn send_reply(&self, client: u32, delivery: Delivery) {
-        match (delivery, self.resp.get(client as usize)) {
+    fn send_reply(&self, to: &Request, delivery: Delivery) {
+        match (delivery, self.resp.get(to.frame.client as usize)) {
             (Delivery::Intact(bytes), Some(lane)) => {
                 let admission = lane.lock().admit(bytes, &self.inject);
-                forward(admission, |d| self.inner.send_reply(client, d));
+                forward(admission, |d| self.inner.send_reply(to, d));
             }
             // A socket peer may claim a client id this service never
             // built: no lane exists to damage its replies on, so they pass
             // through.
-            (delivery, _) => self.inner.send_reply(client, delivery),
+            (delivery, _) => self.inner.send_reply(to, delivery),
         }
     }
 

@@ -7,25 +7,26 @@
 //! their universal-construction instances:
 //!
 //! ```text
-//!   client ──encode──▶ Transport (in-process │ unix │ tcp, ± faults)
-//!     ──▶ per-worker inboxes (one frame per blob) ──▶ dedup window
-//!       ──▶ Shard (single owner)
+//!   client ──encode──▶ transport (in-process │ unix │ tcp, ± faults)
+//!     ──decode once──▶ per-worker inboxes (frame + its way back)
+//!       ──▶ dedup window ──▶ Shard (single owner)
 //!       ──▶ Universal::apply at the object for key
-//!         ──encode──▶ Transport ──▶ client handle
+//!         ──encode──▶ back the way the request came ──▶ client handle
 //! ```
 //!
 //! * [`ShardMap`] — the pure routing function (`key → shard`): the key
 //!   hashed through splitmix64, masked to a power-of-two shard count.
 //! * [`Frame`]/[`FrameDecoder`]/[`WireCodec`] — the length-prefixed wire
-//!   protocol. The decoder is incremental for socket streams; every queued
-//!   blob is one whole frame, decoded once.
-//! * [`Transport`] — the pluggable byte plane ([`TransportConfig`]):
-//!   in-process mailboxes by default, or a real blocking TCP /
-//!   Unix-domain-socket listener (one acceptor thread, one reader per
-//!   connection, one re-encoded frame per blob) selected with
-//!   `Service::builder(..).transport(..)`. Every carrier pushes requests
-//!   into the same per-worker inboxes, which the service owns. The seeded
-//!   fault injector is a wrapper over any of them.
+//!   protocol. The decoder is incremental for socket streams; a request is
+//!   decoded once, where it arrives.
+//! * [`TransportConfig`] — the pluggable byte plane: in-process mailboxes
+//!   by default, or a real blocking TCP / Unix-domain-socket listener (one
+//!   acceptor thread, one reader per connection) selected with
+//!   `Service::builder(..).transport(..)`. Every carrier pushes decoded
+//!   requests into the same per-worker inboxes, which the service owns;
+//!   each request carries its way back, so a socket request is answered
+//!   on the stream it came in on. The seeded fault injector is a wrapper
+//!   over any of them.
 //! * [`Shard`] — a single-owner slice of the key space, lazily
 //!   materializing one tiny (`n = 1`) [`sbu_core::Universal`] per touched
 //!   key. Cheap bulk instance construction is what makes "one universal
@@ -51,7 +52,10 @@
 //!   `(client, seq)` pair — including reconnect-and-retransmit when a
 //!   socket drops; the server's per-worker dedup window answers
 //!   retransmits from cache, making acked operations exactly-once under
-//!   arbitrary honest loss.
+//!   honest loss as long as each retransmit arrives before its entry has
+//!   left the 64-entry window. A later one is applied again (DESIGN.md
+//!   §14); ROADMAP item 4 replaces the window with client-acknowledged
+//!   completion records.
 //! * [`KillPlan`]/[`Recovery`]/[`DurableShard`] — seeded worker kills with
 //!   supervisor respawn, on durable shards only: every kill runs the real
 //!   `DurableMem` crash–restart protocol plus per-key
@@ -99,7 +103,7 @@ pub use server::{Service, ServiceBuilder, ShardStats};
 pub use shard::{DurableShard, Shard};
 pub use socket::SocketConn;
 pub use supervise::{KillPlan, Recovery};
-pub use transport::{ClientConn, ConnEvent, Delivery, Transport, TransportConfig};
+pub use transport::{ClientConn, ConnEvent, Delivery, TransportConfig};
 pub use wire::{
     busy_frame, request_frame, response_frame, Frame, FrameDecoder, WireCodec, WireError,
     KIND_BUSY, KIND_REQUEST, KIND_RESPONSE, MAX_FRAME_LEN,

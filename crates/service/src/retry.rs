@@ -4,8 +4,11 @@
 //! The service keys retransmissions by the `(client, seq)` pair the wire
 //! protocol already carries: a retried request reuses its original `seq`,
 //! so the server's per-client dedup window (the last 64 responses) can
-//! answer it from cache instead of re-applying — that pairing is what
-//! makes the retry loop *exactly-once* end to end.
+//! answer it from cache instead of re-applying. That pairing makes the
+//! retry loop exactly-once end to end for every retransmission that
+//! arrives while its entry is still in the window. One that arrives after
+//! the worker has answered 64 later requests of that client is applied
+//! again (DESIGN.md §14); ROADMAP item 4 closes that gap.
 //!
 //! Every client runs a retransmission timer. When it fires is decided per
 //! client by `Rto`, the RFC 6298 timer: a smoothed round trip and its

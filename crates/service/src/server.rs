@@ -3,15 +3,16 @@
 //! Topology: `workers` OS threads, each *owning* a disjoint set of shards
 //! (worker `w` owns every shard `s` with `s % workers == w` — ownership
 //! never moves, so shards need no locks of their own). Clients talk to
-//! workers through the wire protocol over a pluggable
-//! [`Transport`](crate::transport::Transport): in-process mailboxes by
-//! default, a real TCP or Unix-domain socket with
+//! workers through the wire protocol over a pluggable transport:
+//! in-process mailboxes by default, a real TCP or Unix-domain socket with
 //! [`ServiceBuilder::transport`], and optionally the seeded fault injector
 //! wrapped around either ([`ServiceBuilder::fault`]). Whatever the
 //! carrier, requests land in one set of per-worker inboxes the service
-//! owns. Every inbox blob is one encoded frame, so the worker loop decodes
-//! each blob once, whole, and drops one it cannot serve — corrupt, not a
-//! request, or an op the spec cannot decode — without answering.
+//! owns, each already decoded by the carrier it arrived on and carrying
+//! its way back. The worker loop drops a request it cannot serve — not a
+//! request, or an op the spec cannot decode — without answering, and
+//! sends every reply along its request's route: back on the socket stream
+//! the request came in on, or into its client's in-process reply box.
 //!
 //! The fault-tolerant plane layers four mechanisms over that skeleton:
 //!
@@ -23,10 +24,13 @@
 //!   [`RetryPolicy`]) or when a later reply proves a loss, reusing the
 //!   request's `(client, seq)` identity; a dropped connection is
 //!   reconnected and the request retransmitted.
-//! * **Server exactly-once** — each worker keeps a bounded per-client
-//!   dedup window mapping `(client, seq)` to the cached encoded response;
-//!   a retransmit of an already-applied request is answered from cache
-//!   (`service.dedup_hit`), never re-applied.
+//! * **Server dedup** — each worker keeps a bounded per-client dedup
+//!   window (64 entries) mapping `(client, seq)` to the cached encoded
+//!   response; a retransmit of a request still in the window is answered
+//!   from cache (`service.dedup_hit`), not re-applied. A retransmit that
+//!   arrives after its entry has left the window is applied again
+//!   (DESIGN.md §14); ROADMAP item 4 replaces the window with
+//!   client-acknowledged completion records.
 //! * **Supervision & shedding** — a seeded [`KillPlan`] panics workers of
 //!   a [`Recovery::Durable`] service mid-run, and the supervisor loop
 //!   recovers their shards and respawns them; bounded inboxes shed load at
@@ -52,8 +56,8 @@ use crate::route::ShardMap;
 use crate::shard::{DurableShard, Shard};
 use crate::socket::{Socket, SocketObs};
 use crate::supervise::{KillPlan, KillState, Recovery};
-use crate::transport::{Delivery, InProcess, Inboxes, Transport, TransportConfig};
-use crate::wire::{response_frame, Frame, WireCodec, KIND_REQUEST};
+use crate::transport::{Delivery, InProcess, Inboxes, Request, Transport, TransportConfig};
+use crate::wire::{response_frame, WireCodec, KIND_REQUEST};
 use std::collections::{BTreeMap, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -545,9 +549,10 @@ where
     state.shards.stats()
 }
 
-/// One worker: take one frame at a time off its inbox, apply each request
-/// to the owning shard (or answer it from the dedup window), and mail the
-/// response back. Returns when the inboxes stop; unwinds on a seeded kill.
+/// One worker: take one request at a time off its inbox, apply it to the
+/// owning shard (or answer it from the dedup window), and send the
+/// response along the request's route. Returns when the inboxes stop;
+/// unwinds on a seeded kill.
 fn worker_loop<S>(
     ctx: &WorkerCtx<S>,
     state: &mut WorkerState<S>,
@@ -560,31 +565,27 @@ fn worker_loop<S>(
 {
     let w = ctx.w;
     loop {
-        let Some((bytes, depth)) = ctx.inboxes.recv(w) else {
+        let Some((request, depth)) = ctx.inboxes.recv(w) else {
             return;
         };
         obs.queue_depth.record(w, depth);
-        // A frame the worker cannot serve is dropped unanswered: a
-        // corrupt one (the checksum caught it), or, from a socket peer, a
-        // well-framed one that is not a request or whose op does not
-        // decode. A client's retransmission is the recovery path.
-        let Ok(frame) = Frame::decode(&bytes) else {
-            continue;
-        };
-        if frame.kind != KIND_REQUEST {
+        // A frame the worker cannot serve is dropped unanswered: from a
+        // socket peer, a well-framed one that is not a request or whose op
+        // does not decode. A client's retransmission is the recovery path.
+        if request.frame.kind != KIND_REQUEST {
             continue;
         }
-        let Ok(op) = S::decode_op(&frame.payload) else {
+        let Ok(op) = S::decode_op(&request.frame.payload) else {
             continue;
         };
-        handle_request::<S>(ctx, state, &frame, &op, transport, obs);
+        handle_request::<S>(ctx, state, request, &op, transport, obs);
     }
 }
 
 fn handle_request<S>(
     ctx: &WorkerCtx<S>,
     state: &mut WorkerState<S>,
-    frame: &Frame,
+    request: Request,
     op: &S::Op,
     transport: &dyn Transport,
     obs: &ServiceObs,
@@ -597,20 +598,25 @@ fn handle_request<S>(
 
     // The seeded kill hook: die *before* applying, with the interrupted
     // request requeued for the recovered shards. No ack was sent and no
-    // state changed: never silently lost, never double-applied.
+    // state changed: never silently lost, never double-applied. The unwind
+    // skips the panic hook: a seeded kill is not a bug, and a hook that
+    // prints a backtrace (`RUST_BACKTRACE=1`) can outlast the client's
+    // retransmission timer, which would put wall-clock timing into a
+    // seeded run.
     if let Some(kill) = &mut state.kill {
         if kill.fires() {
-            ctx.inboxes.requeue_front(w, frame.to_bytes());
-            std::panic::panic_any(SeededKill);
+            ctx.inboxes.requeue_front(w, request);
+            std::panic::resume_unwind(Box::new(SeededKill));
         }
     }
 
-    // Exactly-once: a retransmission of an already-applied request is
-    // answered from the dedup window, not re-applied.
+    // A retransmission of a request still in the dedup window is answered
+    // from it, not re-applied.
+    let frame = &request.frame;
     let window = state.dedup.entry(frame.client).or_default();
     if let Some(cached) = window.get(&frame.seq) {
         obs.dedup_hit.incr(w);
-        transport.send_reply(frame.client, Delivery::Intact(cached.clone()));
+        transport.send_reply(&request, Delivery::Intact(cached.clone()));
         return;
     }
 
@@ -627,7 +633,7 @@ fn handle_request<S>(
     while window.len() > DEDUP_WINDOW {
         window.pop_first();
     }
-    transport.send_reply(frame.client, Delivery::Intact(resp_bytes));
+    transport.send_reply(&request, Delivery::Intact(resp_bytes));
 }
 
 #[cfg(test)]

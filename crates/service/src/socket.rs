@@ -1,27 +1,31 @@
 //! The socket transport: a real blocking TCP or Unix-domain-socket
-//! listener behind the [`Transport`](crate::transport::Transport) seam.
+//! listener behind the transport seam.
 //!
 //! Server shape: one acceptor thread polls a non-blocking listener; each
 //! accepted connection gets a reader thread that feeds the stream through
-//! a [`FrameDecoder`] and routes complete frames into the service's
-//! per-worker inboxes, the same ones in-process clients push into — the
-//! worker/shard loop never learns whether its requests arrived over a
-//! mailbox or a socket. The acceptor lets go of each reader thread once
-//! it has exited, so reconnects do not pile up finished threads.
+//! a [`FrameDecoder`] and routes each complete frame, decoded once, into
+//! the service's per-worker inboxes, the same ones in-process clients push
+//! into — the worker/shard loop never learns whether its requests arrived
+//! over a mailbox or a socket. Each inbox entry carries the stream it was
+//! read from, and its reply is written back on that stream, so no
+//! registry maps client ids to streams. A reader blocks in `read(2)`
+//! until bytes or EOF arrive; the acceptor keeps each live reader's stream
+//! and shuts it down at stop, which ends that read. The acceptor lets go
+//! of each reader thread once it has exited, so reconnects do not pile up
+//! finished threads.
 //!
 //! Failure containment: a [`WireError::BadLength`] on a live stream kills
 //! *only that connection* (typed close, counted as `service.conn_drop`);
 //! the worker survives and keeps serving every other connection. Readers
-//! forward only complete re-encoded frames, one per inbox blob, so a
-//! worker never sees a partial frame; a well-framed frame it cannot serve
-//! (not a request, an undecodable op) it drops like a corrupt one.
+//! forward only complete frames, so a worker never sees a partial one; a
+//! well-framed frame it cannot serve (not a request, an undecodable op) it
+//! drops unanswered.
 //!
 //! Instruments (lane `workers + clients`, single-writer via a mutex that
 //! only an `obs` build takes): `service.accept`, `service.conn_drop`,
 //! `service.read_syscall`, `service.partial_frame`.
 
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -34,10 +38,11 @@ use std::time::{Duration, Instant};
 use sbu_obs::Counter;
 
 use crate::route::ShardMap;
-use crate::transport::{ClientConn, ConnEvent, Delivery, Inboxes, Transport};
+use crate::transport::{ClientConn, ConnEvent, Delivery, Inboxes, Request, Transport};
 use crate::wire::{busy_frame, FrameDecoder};
 
-/// How long a reader blocks in `read` before rechecking the stop flag.
+/// The longest a client's blocking `read` waits before its wait loop
+/// looks at the clock again.
 const READ_POLL: Duration = Duration::from_millis(25);
 /// How much later than asked a `read` under `SO_RCVTIMEO` may return. The
 /// kernel wakes the read on a scheduler tick: at 250 Hz, 20 reads per
@@ -50,31 +55,34 @@ const RCVTIMEO_GRANULE: Duration = Duration::from_millis(10);
 const ACCEPT_POLL: Duration = Duration::from_millis(2);
 
 /// One accepted or dialed stream, TCP or Unix — the handful of methods the
-/// transport needs, matched over both.
+/// transport needs, matched over both. Reads and writes go through a shared
+/// reference (`&TcpStream` and `&UnixStream` are `Read` and `Write`), so an
+/// accepted stream is read by its reader and written by the workers without
+/// a lock around the reads.
 pub(crate) enum Conn {
     Tcp(TcpStream),
     Unix(UnixStream),
 }
 
 impl Conn {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+    fn read(&self, buf: &mut [u8]) -> std::io::Result<usize> {
         match self {
-            Conn::Tcp(s) => s.read(buf),
-            Conn::Unix(s) => s.read(buf),
+            Conn::Tcp(s) => (&mut &*s).read(buf),
+            Conn::Unix(s) => (&mut &*s).read(buf),
         }
     }
 
-    fn write(&mut self, bytes: &[u8]) -> std::io::Result<usize> {
+    fn write(&self, bytes: &[u8]) -> std::io::Result<usize> {
         match self {
-            Conn::Tcp(s) => s.write(bytes),
-            Conn::Unix(s) => s.write(bytes),
+            Conn::Tcp(s) => (&mut &*s).write(bytes),
+            Conn::Unix(s) => (&mut &*s).write(bytes),
         }
     }
 
-    fn write_all(&mut self, bytes: &[u8]) -> std::io::Result<()> {
+    fn write_all(&self, bytes: &[u8]) -> std::io::Result<()> {
         match self {
-            Conn::Tcp(s) => s.write_all(bytes),
-            Conn::Unix(s) => s.write_all(bytes),
+            Conn::Tcp(s) => (&mut &*s).write_all(bytes),
+            Conn::Unix(s) => (&mut &*s).write_all(bytes),
         }
     }
 
@@ -98,12 +106,34 @@ impl Conn {
             Conn::Unix(s) => s.shutdown(Shutdown::Both),
         };
     }
+}
 
-    fn try_clone(&self) -> std::io::Result<Conn> {
-        Ok(match self {
-            Conn::Tcp(s) => Conn::Tcp(s.try_clone()?),
-            Conn::Unix(s) => Conn::Unix(s.try_clone()?),
-        })
+/// One accepted stream, shared by the reader that reads requests off it,
+/// the workers that write their replies back on it, and the acceptor that
+/// shuts it down at stop.
+pub(crate) struct Stream {
+    conn: Conn,
+    /// Held across each write, so replies from several workers go out as
+    /// whole frames.
+    writing: Mutex<()>,
+}
+
+impl Stream {
+    /// Write one reply whole. A truncated one is a fault-injected
+    /// mid-write crash: the peer sees the prefix, then EOF. A failed write
+    /// means the peer is gone, and its reader ends at the same close; the
+    /// client's retransmission goes out on a fresh connection.
+    fn send(&self, delivery: Delivery) {
+        let _whole = self.writing.lock();
+        match delivery {
+            Delivery::Intact(bytes) => {
+                let _ = self.conn.write_all(&bytes);
+            }
+            Delivery::Truncated(prefix) => {
+                let _ = self.conn.write_all(&prefix);
+                self.conn.shutdown_both();
+            }
+        }
     }
 }
 
@@ -173,19 +203,12 @@ impl SocketObs {
     }
 }
 
-/// The reply-side handle for one accepted connection: readers register it
-/// under the client id of the frames they decode; workers write replies
-/// through it.
-type Writer = Arc<Mutex<Conn>>;
-type WriterMap = Arc<Mutex<HashMap<u32, Writer>>>;
-
 /// The socket transport's server half. Client connections built through
-/// [`Transport::connect`] dial the endpoint like any remote peer would —
-/// they share no memory with the server beyond the obs registry.
+/// the transport's `connect` dial the endpoint like any remote peer
+/// would — they share no memory with the server beyond the obs registry.
 pub(crate) struct Socket {
-    /// Stops the acceptor and the readers.
+    /// Stops the acceptor, which then shuts down and joins the readers.
     stop: Arc<AtomicBool>,
-    writers: WriterMap,
     endpoint: String,
     acceptor: Mutex<Option<thread::JoinHandle<()>>>,
     unix_path: Option<PathBuf>,
@@ -236,49 +259,41 @@ impl Socket {
     ) -> std::io::Result<Self> {
         listener.set_nonblocking()?;
         let stop = Arc::new(AtomicBool::new(false));
-        let writers: WriterMap = Arc::new(Mutex::new(HashMap::new()));
         let acceptor = {
             let stop = Arc::clone(&stop);
-            let writers = Arc::clone(&writers);
             thread::Builder::new()
                 .name("sbu-service-accept".into())
                 .spawn(move || {
-                    let mut readers: Vec<thread::JoinHandle<()>> = Vec::new();
-                    loop {
-                        if stop.load(Ordering::SeqCst) {
-                            break;
-                        }
+                    // Each reader with its stream: shutting the stream
+                    // down ends the reader's blocked read.
+                    let mut readers: Vec<(thread::JoinHandle<()>, Arc<Stream>)> = Vec::new();
+                    while !stop.load(Ordering::SeqCst) {
                         match listener.accept() {
                             Ok(conn) => {
                                 obs.incr(&obs.accept);
-                                let _ = conn.set_read_timeout(Some(READ_POLL));
                                 // Detach readers whose connection is over:
                                 // a finished thread's stack stays mapped
                                 // until its handle is joined or dropped.
-                                readers.retain(|h| !h.is_finished());
-                                readers.push(spawn_reader(
+                                readers.retain(|(h, _)| !h.is_finished());
+                                let stream = Arc::new(Stream {
                                     conn,
-                                    Arc::clone(&stop),
-                                    Arc::clone(&writers),
+                                    writing: Mutex::new(()),
+                                });
+                                let reader = spawn_reader(
+                                    Arc::clone(&stream),
                                     Arc::clone(&inboxes),
                                     map,
                                     Arc::clone(&obs),
-                                ));
+                                );
+                                readers.push((reader, stream));
                             }
-                            Err(err) if err.kind() == std::io::ErrorKind::WouldBlock => {
-                                thread::sleep(ACCEPT_POLL);
-                            }
-                            Err(_) => {
-                                if stop.load(Ordering::SeqCst) {
-                                    break;
-                                }
-                                thread::sleep(ACCEPT_POLL);
-                            }
+                            Err(_) => thread::sleep(ACCEPT_POLL),
                         }
                     }
                     // Join the live readers on the way out so `shutdown`
                     // only has to join the acceptor.
-                    for reader in readers {
+                    for (reader, stream) in readers {
+                        stream.conn.shutdown_both();
                         let _ = reader.join();
                     }
                 })
@@ -286,7 +301,6 @@ impl Socket {
         };
         Ok(Self {
             stop,
-            writers,
             endpoint,
             acceptor: Mutex::new(Some(acceptor)),
             unix_path,
@@ -295,31 +309,10 @@ impl Socket {
 }
 
 impl Transport for Socket {
-    fn send_reply(&self, client: u32, delivery: Delivery) {
-        // Clone the writer handle out of the registry before touching the
-        // stream, so a slow peer never holds the registry lock.
-        let writer = self.writers.lock().get(&client).map(Arc::clone);
-        let Some(writer) = writer else {
-            // The connection is already gone; the client's retransmit will
-            // arrive on a fresh one and hit the dedup window.
-            return;
-        };
-        match delivery {
-            Delivery::Intact(bytes) => {
-                if writer.lock().write_all(&bytes).is_err() {
-                    self.drop_writer(client, &writer);
-                }
-            }
-            Delivery::Truncated(prefix) => {
-                // Fault injection at the socket seam: the peer sees a
-                // partial frame and then EOF, exactly like a mid-write
-                // crash.
-                let mut conn = writer.lock();
-                let _ = conn.write_all(&prefix);
-                conn.shutdown_both();
-                drop(conn);
-                self.drop_writer(client, &writer);
-            }
+    fn send_reply(&self, to: &Request, delivery: Delivery) {
+        // Every request a socket reader queues carries its stream.
+        if let Some(stream) = &to.stream {
+            stream.send(delivery);
         }
     }
 
@@ -329,14 +322,9 @@ impl Transport for Socket {
 
     fn shutdown(&self) {
         self.stop.store(true, Ordering::SeqCst);
-        // Tear down live connections so blocked reads fail fast.
-        for writer in self.writers.lock().values() {
-            writer.lock().shutdown_both();
-        }
         if let Some(acceptor) = self.acceptor.lock().take() {
             let _ = acceptor.join();
         }
-        self.writers.lock().clear();
         if let Some(path) = &self.unix_path {
             let _ = std::fs::remove_file(path);
         }
@@ -347,15 +335,6 @@ impl Transport for Socket {
     }
 }
 
-impl Socket {
-    fn drop_writer(&self, client: u32, writer: &Writer) {
-        let mut map = self.writers.lock();
-        if map.get(&client).is_some_and(|w| Arc::ptr_eq(w, writer)) {
-            map.remove(&client);
-        }
-    }
-}
-
 impl Drop for Socket {
     fn drop(&mut self) {
         self.shutdown();
@@ -363,9 +342,7 @@ impl Drop for Socket {
 }
 
 fn spawn_reader(
-    mut conn: Conn,
-    stop: Arc<AtomicBool>,
-    writers: WriterMap,
+    stream: Arc<Stream>,
     inboxes: Arc<Inboxes>,
     map: ShardMap,
     obs: Arc<SocketObs>,
@@ -373,29 +350,17 @@ fn spawn_reader(
     thread::Builder::new()
         .name("sbu-service-reader".into())
         .spawn(move || {
-            let writer: Writer =
-                Arc::new(Mutex::new(conn.try_clone().expect("clone accepted stream")));
-            let mut registered: Vec<u32> = Vec::new();
             let mut dec = FrameDecoder::new();
             let mut buf = [0u8; 16 * 1024];
-            'conn: loop {
-                if stop.load(Ordering::SeqCst) {
-                    break;
-                }
-                let n = match conn.read(&mut buf) {
-                    Ok(0) => break, // clean EOF
+            loop {
+                // Blocks until bytes arrive or the stream ends: the peer
+                // closed it, or the acceptor shut it down at stop.
+                let n = match stream.conn.read(&mut buf) {
+                    Ok(0) => return,
                     Ok(n) => n,
-                    Err(err)
-                        if err.kind() == std::io::ErrorKind::WouldBlock
-                            || err.kind() == std::io::ErrorKind::TimedOut =>
-                    {
-                        continue;
-                    }
                     Err(_) => {
-                        if !stop.load(Ordering::SeqCst) {
-                            obs.incr(&obs.conn_drop);
-                        }
-                        break;
+                        obs.incr(&obs.conn_drop);
+                        return;
                     }
                 };
                 obs.incr(&obs.read_syscall);
@@ -403,34 +368,18 @@ fn spawn_reader(
                 loop {
                     match dec.next_frame() {
                         Ok(Some(frame)) => {
-                            // Claim (or reclaim) the writer slot for this
-                            // client id. The check must go through the map,
-                            // not a connection-local cache: a fault plane
-                            // that delays requests across clients can
-                            // carry client A's frame over client B's
-                            // stream, whose reader then claims A's slot —
-                            // and A's own retransmits must win it back or
-                            // A's replies stay misrouted forever.
-                            {
-                                let mut map = writers.lock();
-                                match map.get(&frame.client) {
-                                    Some(w) if Arc::ptr_eq(w, &writer) => {}
-                                    _ => {
-                                        map.insert(frame.client, Arc::clone(&writer));
-                                    }
-                                }
-                            }
-                            if !registered.contains(&frame.client) {
-                                registered.push(frame.client);
-                            }
                             let worker = map.shard_of(frame.key) % inboxes.len();
-                            if inboxes.try_push(worker, frame.to_bytes()).is_err() {
+                            let request = Request {
+                                frame,
+                                stream: Some(Arc::clone(&stream)),
+                            };
+                            if let Err(refused) = inboxes.try_push(worker, request) {
                                 // Inbox at its high watermark: answer Busy
                                 // directly so the client's retry loop backs
                                 // off — the socket itself never blocks on a
                                 // full inbox.
-                                let busy = busy_frame(&frame);
-                                let _ = writer.lock().write_all(&busy.to_bytes());
+                                let busy = busy_frame(&refused.frame).to_bytes();
+                                stream.send(Delivery::Intact(busy));
                             }
                         }
                         Ok(None) => break,
@@ -441,9 +390,8 @@ fn spawn_reader(
                             // stream — typed close of this connection only;
                             // the worker never sees it.
                             obs.incr(&obs.conn_drop);
-                            conn.shutdown_both();
-                            deregister(&writers, &registered, &writer);
-                            break 'conn;
+                            stream.conn.shutdown_both();
+                            return;
                         }
                     }
                 }
@@ -451,25 +399,12 @@ fn spawn_reader(
                     obs.incr(&obs.partial_frame);
                 }
             }
-            deregister(&writers, &registered, &writer);
         })
         .expect("spawn reader thread")
 }
 
-/// Remove this connection's writer registrations — but only where the map
-/// still points at *this* writer, so a reconnected client's fresh writer
-/// survives its predecessor's cleanup.
-fn deregister(writers: &Mutex<HashMap<u32, Writer>>, registered: &[u32], writer: &Writer) {
-    let mut map = writers.lock();
-    for client in registered {
-        if map.get(client).is_some_and(|w| Arc::ptr_eq(w, writer)) {
-            map.remove(client);
-        }
-    }
-}
-
 /// The client half: one dialed connection plus its incremental decoder.
-/// A service's own client handles get one through [`Transport::connect`]
+/// A service's own client handles each get one when the service is built
 /// (`service_loadgen --remote` builds a service on the endpoint, so its
 /// clients connect that way too); [`SocketConn::dial`] opens one to any
 /// endpoint directly, for a peer outside the service.

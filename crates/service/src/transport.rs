@@ -1,14 +1,14 @@
-//! The transport seam: how encoded frames move between clients and
+//! The transport seam: how requests and replies move between clients and
 //! workers.
 //!
 //! Everything above this module — routing, dedup, retry, supervision —
 //! deals in *frames*; everything below deals in *bytes in motion*. The
-//! [`Transport`] trait is the cut between the two:
+//! crate-private `Transport` trait is the cut between the two:
 //!
 //! ```text
-//!   ServiceClient ──▶ ClientConn::send ──▶ (wire) ──▶ Inboxes ──▶ worker
-//!        ▲                                                          │
-//!        └── ClientConn::recv_until ◀── (wire) ◀── Transport::send_reply
+//!   ServiceClient ──▶ ClientConn::send ──▶ (wire) ──▶ decode ──▶ Inboxes ──▶ worker
+//!        ▲                                                                  │
+//!        └── ClientConn::recv_until ◀── (wire) ◀── send_reply the way the request came
 //! ```
 //!
 //! The request inboxes are not part of any carrier: the service owns one
@@ -31,10 +31,16 @@
 //! A transport is picked with [`TransportConfig`] on
 //! [`crate::Service::builder`].
 //!
-//! Every blob an inbox or an in-process reply box holds is exactly one
-//! encoded frame, and an inbox at its high watermark is answered with a
-//! [`KIND_BUSY`](crate::KIND_BUSY) frame to the refused frame's client on
-//! every carrier.
+//! Each carrier decodes a request once, where it arrives: the socket
+//! reader as it reassembles the stream, the in-process send in the
+//! worker's place, so a request that fails its checksum never reaches an
+//! inbox. An inbox entry is the decoded frame plus its way back. Over a
+//! socket that is the stream the frame was read from, and the reply is
+//! written on it; in process it is nothing, and the reply goes to the
+//! frame's client's reply box. An inbox at its high watermark is answered
+//! with a [`KIND_BUSY`](crate::KIND_BUSY) frame to the refused frame's
+//! client on every carrier. Every blob an in-process reply box holds is
+//! exactly one encoded frame.
 
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
@@ -43,6 +49,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
+use crate::socket::Stream;
 use crate::wire::{busy_frame, Frame};
 
 /// Which transport a [`crate::Service`] is built on.
@@ -113,14 +120,24 @@ pub enum ConnEvent {
     Disconnected,
 }
 
+/// One request in a worker's inbox: the frame, decoded once where it
+/// arrived, and the way back for its reply.
+pub(crate) struct Request {
+    pub(crate) frame: Frame,
+    /// The socket stream the frame was read from, which its reply goes
+    /// back on. In process there is none: the reply goes to
+    /// `frame.client`'s reply box.
+    pub(crate) stream: Option<Arc<Stream>>,
+}
+
 /// The server side of a transport: the reply path, client connections and
 /// the carrier's lifetime. Requests reach the workers through the
 /// service's per-worker inboxes, which every carrier pushes into.
 /// Implementations must be safe to share across worker threads.
-pub trait Transport: Send + Sync {
-    /// Deliver an encoded reply frame toward `client`. Reply paths are
-    /// never shed — clients drain what they asked for.
-    fn send_reply(&self, client: u32, delivery: Delivery);
+pub(crate) trait Transport: Send + Sync {
+    /// Deliver an encoded reply to the request `to` along its way back.
+    /// Reply paths are never shed — clients drain what they asked for.
+    fn send_reply(&self, to: &Request, delivery: Delivery);
 
     /// Open a client connection. For socket transports the dial is lazy
     /// (established on first send), so building clients is cheap.
@@ -160,17 +177,17 @@ pub trait ClientConn: Send {
     fn reconnect(&mut self) -> bool;
 }
 
-/// A queue of encoded frames, one per blob, with a wakeup signal and an
-/// optional high watermark: one worker's inbox, or one in-process
-/// client's reply box.
-pub(crate) struct Mailbox {
-    queue: Mutex<VecDeque<Vec<u8>>>,
+/// A queue with a wakeup signal and an optional high watermark: one
+/// worker's inbox of requests, or one in-process client's reply box of
+/// encoded frames.
+pub(crate) struct Mailbox<T> {
+    queue: Mutex<VecDeque<T>>,
     ready: Condvar,
     /// Request-push high watermark; `0` = unbounded.
     capacity: usize,
 }
 
-impl Mailbox {
+impl<T> Mailbox<T> {
     pub(crate) fn new(capacity: usize) -> Self {
         Self {
             queue: Mutex::new(VecDeque::new()),
@@ -180,38 +197,38 @@ impl Mailbox {
     }
 
     /// Push unconditionally (reply boxes).
-    pub(crate) fn push(&self, bytes: Vec<u8>) {
-        self.queue.lock().push_back(bytes);
+    pub(crate) fn push(&self, item: T) {
+        self.queue.lock().push_back(item);
         self.ready.notify_one();
     }
 
-    /// Push a request, shedding at the high watermark: `Err` hands back a
-    /// frame that was *not* queued, for the caller to answer `Busy`.
-    pub(crate) fn try_push(&self, bytes: Vec<u8>) -> Result<(), Vec<u8>> {
+    /// Push a request, shedding at the high watermark: `Err` hands back an
+    /// item that was *not* queued, for the caller to answer `Busy`.
+    pub(crate) fn try_push(&self, item: T) -> Result<(), T> {
         let mut q = self.queue.lock();
         if self.capacity > 0 && q.len() >= self.capacity {
-            return Err(bytes);
+            return Err(item);
         }
-        q.push_back(bytes);
+        q.push_back(item);
         drop(q);
         self.ready.notify_one();
         Ok(())
     }
 
-    /// Requeue bytes at the front (the durable kill path).
-    pub(crate) fn push_front(&self, bytes: Vec<u8>) {
-        self.queue.lock().push_front(bytes);
+    /// Requeue an item at the front (the durable kill path).
+    pub(crate) fn push_front(&self, item: T) {
+        self.queue.lock().push_front(item);
         self.ready.notify_one();
     }
 
-    /// Block until a blob is queued and pop it, with the number of blobs
+    /// Block until an item is queued and pop it, with the number of items
     /// still queued behind it; `None` once `stop` is set and the queue is
     /// empty.
-    pub(crate) fn recv(&self, stop: &AtomicBool) -> Option<(Vec<u8>, u64)> {
+    pub(crate) fn recv(&self, stop: &AtomicBool) -> Option<(T, u64)> {
         let mut q = self.queue.lock();
         loop {
-            if let Some(bytes) = q.pop_front() {
-                return Some((bytes, q.len() as u64));
+            if let Some(item) = q.pop_front() {
+                return Some((item, q.len() as u64));
             }
             if stop.load(Ordering::SeqCst) {
                 return None;
@@ -220,12 +237,12 @@ impl Mailbox {
         }
     }
 
-    /// Pop one blob before `until`; `None` on timeout.
-    pub(crate) fn pop_until(&self, until: Instant) -> Option<Vec<u8>> {
+    /// Pop one item before `until`; `None` on timeout.
+    pub(crate) fn pop_until(&self, until: Instant) -> Option<T> {
         let mut q = self.queue.lock();
         loop {
-            if let Some(bytes) = q.pop_front() {
-                return Some(bytes);
+            if let Some(item) = q.pop_front() {
+                return Some(item);
             }
             if self.ready.wait_until(&mut q, until).timed_out() {
                 // Lost race between a notify and the timeout: recheck.
@@ -243,12 +260,12 @@ impl Mailbox {
 /// The service's request plane: one inbox per worker, which every carrier
 /// pushes into and only the owning worker pops.
 pub(crate) struct Inboxes {
-    boxes: Vec<Mailbox>,
+    boxes: Vec<Mailbox<Request>>,
     stop: AtomicBool,
 }
 
 impl Inboxes {
-    /// One inbox per worker, each shedding past `capacity` queued frames
+    /// One inbox per worker, each shedding past `capacity` queued requests
     /// (`0` = unbounded).
     pub(crate) fn new(workers: usize, capacity: usize) -> Self {
         Self {
@@ -263,23 +280,23 @@ impl Inboxes {
     }
 
     /// Queue a request for `worker`, shedding at the high watermark: `Err`
-    /// hands back a frame that was *not* queued, for the carrier to answer
-    /// `Busy`.
-    pub(crate) fn try_push(&self, worker: usize, bytes: Vec<u8>) -> Result<(), Vec<u8>> {
-        self.boxes[worker].try_push(bytes)
+    /// hands back a request that was *not* queued, for the carrier to
+    /// answer `Busy`.
+    pub(crate) fn try_push(&self, worker: usize, request: Request) -> Result<(), Request> {
+        self.boxes[worker].try_push(request)
     }
 
-    /// Put a frame back at the *front* of `worker`'s inbox: the durable
-    /// kill path restores its in-flight frame exactly where it was. No
+    /// Put a request back at the *front* of `worker`'s inbox: the durable
+    /// kill path restores its in-flight request exactly where it was. No
     /// carrier sits on this path, so no fault is injected on it.
-    pub(crate) fn requeue_front(&self, worker: usize, bytes: Vec<u8>) {
-        self.boxes[worker].push_front(bytes);
+    pub(crate) fn requeue_front(&self, worker: usize, request: Request) {
+        self.boxes[worker].push_front(request);
     }
 
-    /// Block until a frame is queued for `worker` and pop it, with the
+    /// Block until a request is queued for `worker` and pop it, with the
     /// inbox depth left behind (feeds `service.queue_depth`); `None` once
     /// the inboxes are stopped and this one is empty.
-    pub(crate) fn recv(&self, worker: usize) -> Option<(Vec<u8>, u64)> {
+    pub(crate) fn recv(&self, worker: usize) -> Option<(Request, u64)> {
         self.boxes[worker].recv(&self.stop)
     }
 
@@ -297,7 +314,7 @@ impl Inboxes {
 /// inboxes, and each client has a plain unbounded reply box.
 pub struct InProcess {
     inboxes: Arc<Inboxes>,
-    replies: Vec<Mailbox>,
+    replies: Vec<Mailbox<Vec<u8>>>,
 }
 
 impl InProcess {
@@ -311,9 +328,9 @@ impl InProcess {
 }
 
 impl Transport for InProcess {
-    fn send_reply(&self, client: u32, delivery: Delivery) {
+    fn send_reply(&self, to: &Request, delivery: Delivery) {
         match delivery {
-            Delivery::Intact(bytes) => self.replies[client as usize].push(bytes),
+            Delivery::Intact(bytes) => self.replies[to.frame.client as usize].push(bytes),
             // No stream to truncate: the bytes are simply gone, exactly
             // like a drop (the retry layer recovers either way).
             Delivery::Truncated(_) => {}
@@ -341,21 +358,25 @@ struct InProcessConn {
 
 impl ClientConn for InProcessConn {
     fn send(&mut self, worker: usize, delivery: Delivery) {
-        // A truncated request never reaches an inbox: a worker decodes
-        // each blob as one whole frame, so a cut one is simply a loss.
+        // The request is decoded here, in the worker's place. A truncated
+        // or corrupt one never reaches an inbox: it is simply a loss.
         let Delivery::Intact(bytes) = delivery else {
             return;
         };
-        let Err(bytes) = self.transport.inboxes.try_push(worker, bytes) else {
+        let Ok(frame) = Frame::decode(&bytes) else {
+            return;
+        };
+        let request = Request {
+            frame,
+            stream: None,
+        };
+        let Err(refused) = self.transport.inboxes.try_push(worker, request) else {
             return;
         };
         // Shed at the watermark: answer `Busy` to the frame's own client,
-        // as the socket reader does. A refused frame that fails its
-        // checksum gets no answer, as the worker would have dropped it.
-        if let Ok(frame) = Frame::decode(&bytes) {
-            if let Some(replies) = self.transport.replies.get(frame.client as usize) {
-                replies.push(busy_frame(&frame).to_bytes());
-            }
+        // as the socket reader does.
+        if let Some(replies) = self.transport.replies.get(refused.frame.client as usize) {
+            replies.push(busy_frame(&refused.frame).to_bytes());
         }
     }
 
@@ -378,7 +399,24 @@ impl ClientConn for InProcessConn {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::request_frame;
+    use sbu_spec::specs::{CounterOp, CounterSpec};
     use std::time::Duration;
+
+    /// An in-process request with sequence number `seq`.
+    fn request(seq: u64) -> Request {
+        Request {
+            frame: request_frame::<CounterSpec>(0, seq, 0, &CounterOp::Inc),
+            stream: None,
+        }
+    }
+
+    /// The sequence number and depth [`Inboxes::recv`] reports.
+    fn recv_seq(inboxes: &Inboxes, worker: usize) -> Option<(u64, u64)> {
+        inboxes
+            .recv(worker)
+            .map(|(request, depth)| (request.frame.seq, depth))
+    }
 
     #[test]
     fn parse_understands_both_schemes_and_rejects_junk() {
@@ -420,16 +458,16 @@ mod tests {
     #[test]
     fn stopped_inboxes_drain_then_return_none() {
         let inboxes = Inboxes::new(2, 0);
-        inboxes.try_push(1, vec![7]).unwrap();
+        assert!(inboxes.try_push(1, request(7)).is_ok());
         inboxes.stop();
-        assert_eq!(inboxes.recv(1), Some((vec![7], 0)), "queued frames drain");
-        assert_eq!(inboxes.recv(1), None);
-        assert_eq!(inboxes.recv(0), None);
+        assert_eq!(recv_seq(&inboxes, 1), Some((7, 0)), "queued frames drain");
+        assert_eq!(recv_seq(&inboxes, 1), None);
+        assert_eq!(recv_seq(&inboxes, 0), None);
     }
 
     #[test]
     fn pop_until_times_out_cleanly() {
-        let mbox = Mailbox::new(0);
+        let mbox = Mailbox::<Vec<u8>>::new(0);
         let t0 = Instant::now();
         assert!(mbox
             .pop_until(Instant::now() + Duration::from_millis(20))
@@ -441,9 +479,9 @@ mod tests {
     fn requeue_front_goes_ahead_of_queued_frames() {
         // Past the watermark too: a requeued frame is never shed.
         let inboxes = Inboxes::new(1, 1);
-        inboxes.try_push(0, vec![2]).unwrap();
-        inboxes.requeue_front(0, vec![1]);
-        assert_eq!(inboxes.recv(0), Some((vec![1], 1)));
-        assert_eq!(inboxes.recv(0), Some((vec![2], 0)));
+        assert!(inboxes.try_push(0, request(2)).is_ok());
+        inboxes.requeue_front(0, request(1));
+        assert_eq!(recv_seq(&inboxes, 0), Some((1, 1)));
+        assert_eq!(recv_seq(&inboxes, 0), Some((2, 0)));
     }
 }

@@ -8,14 +8,14 @@
 //!
 //! `len` counts every byte after itself (checksum included), so a byte
 //! stream of frames is self-delimiting; [`FrameDecoder`] reassembles frames
-//! from the arbitrary chunk boundaries of a socket stream. A queued blob is
-//! always exactly one frame, so the worker inbox and the in-process reply
-//! boxes decode each blob once, whole. `crc` is an FNV-1a-32 checksum of
-//! everything after itself: a faulty transport that flips bytes in flight
-//! (see [`crate::FaultProfile`]) is caught here, surfaced as the
-//! *recoverable* [`WireError::Corrupt`] — the decoder skips the damaged
-//! frame and resynchronizes on the next one, and the retry layer treats the
-//! loss like a drop.
+//! from the arbitrary chunk boundaries of a socket stream. An in-process
+//! blob is always exactly one frame, so the in-process send (a request)
+//! and reply box (a reply) decode each blob once, whole. `crc` is an
+//! FNV-1a-32 checksum of everything after itself: a faulty transport that
+//! flips bytes in flight (see [`crate::FaultProfile`]) is caught here,
+//! surfaced as the *recoverable* [`WireError::Corrupt`] — the decoder
+//! skips the damaged frame and resynchronizes on the next one, and the
+//! retry layer treats the loss like a drop.
 //!
 //! `kind` distinguishes application `Request`/`Response` frames from the
 //! one *control* response the fault-tolerant plane introduces,
@@ -166,7 +166,7 @@ impl Frame {
     }
 
     /// Decode one whole encoded frame: exactly the bytes
-    /// [`encode`](Self::encode) wrote, as a queued blob holds them.
+    /// [`encode`](Self::encode) wrote, as an in-process blob holds them.
     pub(crate) fn decode(bytes: &[u8]) -> Result<Frame, WireError> {
         match frame_len(bytes)? {
             Some(len) if bytes.len() == 4 + len => Self::decode_body(&bytes[4..]),

@@ -199,10 +199,10 @@ fn frames_a_worker_cannot_serve_never_kill_it() {
 
 #[test]
 fn a_client_id_claimed_by_two_streams_is_answered_on_its_owners() {
-    // Two streams claim client 7 in turn. The writer claim must be checked
-    // against the shared map on every frame: a per-connection "already
-    // registered" cache would answer the owner's next request on the
-    // other stream.
+    // Two streams claim client 7 in turn, and each request must be
+    // answered on the stream it came in on. A server that finds the stream
+    // by client id instead answers the owner's request on whichever stream
+    // claimed the id last.
     let path = scratch_socket("claim");
     let mut svc = Service::builder(1)
         .transport(TransportConfig::Unix(path.clone()))
@@ -219,6 +219,34 @@ fn a_client_id_claimed_by_two_streams_is_answered_on_its_owners() {
         Some(1),
         "the owner's request is answered on its own stream"
     );
+
+    // The other stream claims client 7 while the owner's request still
+    // waits in the one worker's inbox, behind a third peer's backlog. The
+    // backlog's replies fill that peer's receive buffer (a Unix stream
+    // holds a few hundred small writes), so the worker stalls before it
+    // reaches the owner's request, until the test drains them after both
+    // streams have sent.
+    const BACKLOG: u64 = 2_000;
+    let mut third = Peer::dial(&path);
+    let backlog: Vec<u8> = (0..BACKLOG)
+        .flat_map(|seq| request_frame::<CounterSpec>(8, seq, 2, &CounterOp::Inc).to_bytes())
+        .collect();
+    third.stream.write_all(&backlog).expect("write backlog");
+    // Time for the backlog to be queued and the worker to stall on it.
+    std::thread::sleep(Duration::from_millis(50));
+    owner.send(&request(2));
+    other.send(&request(101));
+    // Time for both readers to read their frames.
+    std::thread::sleep(Duration::from_millis(20));
+    for seq in 0..BACKLOG {
+        assert_eq!(third.recv().map(|f| f.seq), Some(seq));
+    }
+    assert_eq!(
+        owner.recv().map(|f| f.seq),
+        Some(2),
+        "a claim made while the owner's request waited took its reply"
+    );
+    assert_eq!(other.recv().map(|f| f.seq), Some(101));
     svc.shutdown();
     let _ = std::fs::remove_file(&path);
 }

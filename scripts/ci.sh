@@ -96,11 +96,19 @@ for report in SCENARIO_STEADY_STATE_REPORT.md SCENARIO_CRASH_STORM_REPORT.md \
     }
 done
 
-step "scenario coverage self-compare (two capped same-seed runs must be regression-free)"
-cargo run --release --quiet --offline -p sbu-bench --bin exp -- scenarios \
-    --scenario steady-state --seed 7 --max-threads 1 --out "$tmp/cov-base"
-cargo run --release --quiet --offline -p sbu-bench --bin exp -- scenarios \
-    --scenario steady-state --seed 7 --max-threads 1 --out "$tmp/cov-cur"
+step "scenario determinism self-compare (two capped same-seed runs must write byte-identical artifacts and be regression-free)"
+for run in cov-base cov-cur; do
+    cargo run --release --quiet --offline -p sbu-bench --bin exp -- scenarios \
+        --scenario steady-state,lossy-transport,shard-crash-storm \
+        --seed 7 --max-threads 1 --out "$tmp/$run"
+done
+for artifact in SCENARIO_STEADY_STATE_REPORT.md SCENARIO_LOSSY_TRANSPORT_REPORT.md \
+    SCENARIO_SHARD_CRASH_STORM_REPORT.md BENCH_scenarios.json; do
+    cmp "$tmp/cov-base/$artifact" "$tmp/cov-cur/$artifact" || {
+        echo "$artifact differs between two capped same-seed runs" >&2
+        exit 1
+    }
+done
 cargo run --release --quiet --offline -p sbu-bench --bin exp -- scenarios \
     --compare "$tmp/cov-base/BENCH_scenarios.json" "$tmp/cov-cur/BENCH_scenarios.json"
 
