@@ -1,6 +1,6 @@
 //! E15 — the transport tax: in-process vs Unix socket vs TCP loopback.
 //!
-//! The `Transport` seam (ISSUE 10) lets the same service run over
+//! The byte plane (DESIGN.md §16) lets the same service run over
 //! in-process mailboxes or a real kernel socket without changing a line
 //! above the byte plane. E15 measures what crossing the kernel costs: the
 //! identical closed-loop counter workload at matched shard/worker/client

@@ -146,7 +146,7 @@ impl<S: WireCodec> ServiceClient<S> {
 
     /// The worker that owns `key` (the inbox its requests queue in).
     fn worker_of(&self, key: u64) -> usize {
-        self.map.shard_of(key) % self.workers
+        self.map.worker_of(key, self.workers)
     }
 }
 

@@ -1,8 +1,10 @@
-//! Seeded, deterministic transport-fault injection at the transport seam.
+//! Seeded, deterministic transport-fault injection on both carriers.
 //!
-//! `Faulty` is a *wrapper transport*: it sits between the client/server
-//! handles and any inner transport (in-process mailboxes or a real
-//! socket) and, frame by frame, decides whether the frame is delivered
+//! The fault plane damages frames on their way through the in-process
+//! mailboxes or a real socket alike: a request in `FaultyConn`, the
+//! client connection it wraps around the carrier's own, and a reply in the
+//! service's one reply path (`transport::send_reply`), before the carrier
+//! writes it. Frame by frame it decides whether the frame is delivered
 //! intact, **dropped**, **duplicated**, **corrupted** (a byte flipped in
 //! flight — caught downstream by the frame checksum), **delayed** (held
 //! back until the next frame passes it, the one fault that reorders), or
@@ -20,14 +22,15 @@
 //! payload *and recomputes the checksum*, so the wire layer cannot object
 //! and only a semantic check (the linearizability monitor above the
 //! service) can catch the damage. Scenario cells running the liar must
-//! report CAUGHT.
+//! report CAUGHT. Where a frame's bytes sit is the wire module's business:
+//! the injector edits frames only through its layout helpers.
 //!
 //! Every injected fault increments a `service.inject.*` counter on the
 //! channel's own obs lane (writes are serialized by the channel's lock, so
 //! the single-writer lane discipline holds).
 
-use crate::transport::{ClientConn, ConnEvent, Delivery, Request, Transport};
-use crate::wire::{checksum, KIND_RESPONSE};
+use crate::transport::{ClientConn, ConnEvent, Delivery};
+use crate::wire::{encoded_kind, encoded_payload_mut, seal, KIND_RESPONSE, PREFIX};
 use parking_lot::Mutex;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -165,13 +168,13 @@ pub enum Admission {
     /// earlier delayed frame released behind the admitted one.
     Delivered(Vec<Vec<u8>>),
     /// The stream died mid-frame: the carried prefix is the partial write
-    /// the peer observes before EOF. Transport wrappers turn this into
-    /// [`Delivery::Truncated`].
+    /// the peer observes before EOF. The fault plane hands it to the
+    /// carrier as a [`Delivery::Truncated`].
     Disconnected(Vec<u8>),
 }
 
 /// One direction of one lane through the injector: owns the channel's RNG
-/// and the frame a `delay` fault holds back. The fault wrapper keeps each
+/// and the frame a `delay` fault holds back. The service keeps each
 /// channel behind its own mutex, so decisions replay in admission order.
 #[derive(Debug)]
 pub struct FaultyChannel {
@@ -230,7 +233,7 @@ impl FaultyChannel {
     /// is gone with the stream, and the carried prefix is what the peer saw
     /// before the cut.
     pub fn admit(&mut self, bytes: Vec<u8>, obs: &InjectObs) -> Admission {
-        let is_response = frame_kind(&bytes) == Some(KIND_RESPONSE);
+        let is_response = encoded_kind(&bytes) == Some(KIND_RESPONSE);
         let fault = self.decide(is_response);
         let lane = self.lane;
         let mut through = match fault {
@@ -279,21 +282,19 @@ impl FaultyChannel {
     }
 }
 
-/// The fault injector as a wrapper transport: every request passes a
-/// per-worker lane on its way into the inner transport, every reply a
-/// per-client lane on its way out. Lane seeding matches the historic
-/// mailbox injector exactly (requests on lane `w`, replies on lane
-/// `workers + c`), so a fixed `(seed, traffic)` pair replays the same
-/// fault pattern it always did. What a reply lane lets through goes back
-/// the way of the request whose reply passed it, so a reply a `delay`
-/// holds back goes out behind a later reply to its client, on that
-/// reply's stream.
+/// The fault injector's lanes: every request passes a per-worker lane on
+/// its way into a carrier, every reply a per-client lane on its way out.
+/// Lane seeding matches the historic mailbox injector exactly (requests on
+/// lane `w`, replies on lane `workers + c`), so a fixed `(seed, traffic)`
+/// pair replays the same fault pattern it always did. What a reply lane
+/// lets through goes back the way of the request whose reply passed it,
+/// so a reply a `delay` holds back goes out behind a later reply to its
+/// client, on that reply's stream.
 ///
 /// The durable-recovery requeue goes straight into the service's inboxes,
-/// past every carrier: those bytes never left the worker, so there is no
+/// past every lane: those bytes never left the worker, so there is no
 /// wire for them to be damaged on.
 pub(crate) struct Faulty {
-    inner: Arc<dyn Transport>,
     /// Request lanes, one per worker (obs lane `w`).
     req: Vec<Mutex<FaultyChannel>>,
     /// Reply lanes, one per client (obs lane `workers + c`).
@@ -303,7 +304,6 @@ pub(crate) struct Faulty {
 
 impl Faulty {
     pub(crate) fn new(
-        inner: Arc<dyn Transport>,
         profile: FaultProfile,
         seed: u64,
         workers: usize,
@@ -311,7 +311,6 @@ impl Faulty {
         inject: InjectObs,
     ) -> Self {
         Self {
-            inner,
             req: (0..workers)
                 .map(|w| Mutex::new(FaultyChannel::new(profile, seed, w)))
                 .collect(),
@@ -321,45 +320,42 @@ impl Faulty {
             inject,
         }
     }
-}
 
-impl Transport for Faulty {
-    fn send_reply(&self, to: &Request, delivery: Delivery) {
-        match (delivery, self.resp.get(to.frame.client as usize)) {
-            (Delivery::Intact(bytes), Some(lane)) => {
-                let admission = lane.lock().admit(bytes, &self.inject);
-                forward(admission, |d| self.inner.send_reply(to, d));
+    /// Pass a reply to `client` through that client's reply lane, and hand
+    /// what the lane lets through to `deliver`, in order.
+    pub(crate) fn admit_reply(
+        &self,
+        client: u32,
+        reply: Vec<u8>,
+        mut deliver: impl FnMut(Delivery),
+    ) {
+        match self.resp.get(client as usize) {
+            Some(lane) => {
+                let admission = lane.lock().admit(reply, &self.inject);
+                forward(admission, deliver);
             }
             // A socket peer may claim a client id this service never
             // built: no lane exists to damage its replies on, so they pass
             // through.
-            (delivery, _) => self.inner.send_reply(to, delivery),
+            None => deliver(Delivery::Intact(reply)),
         }
-    }
-
-    fn connect(self: Arc<Self>, client: u32) -> Box<dyn ClientConn> {
-        let inner = Arc::clone(&self.inner).connect(client);
-        Box::new(FaultyConn {
-            shared: self,
-            inner,
-        })
-    }
-
-    fn shutdown(&self) {
-        self.inner.shutdown();
-    }
-
-    fn endpoint(&self) -> Option<String> {
-        self.inner.endpoint()
     }
 }
 
-/// A client connection whose outbound requests pass the injector before
-/// reaching the inner connection. Replies were already damaged (or not) on
-/// the server side, so the receive path is a clean pass-through.
-struct FaultyConn {
+/// A client connection whose outbound requests pass the injector's
+/// request lanes before reaching the carrier's connection inside it.
+/// Replies were already damaged (or not) on the server side, so the
+/// receive path is a clean pass-through.
+pub(crate) struct FaultyConn {
     shared: Arc<Faulty>,
     inner: Box<dyn ClientConn>,
+}
+
+impl FaultyConn {
+    /// Wrap the carrier's connection `inner` in the lanes of `shared`.
+    pub(crate) fn new(shared: Arc<Faulty>, inner: Box<dyn ClientConn>) -> Self {
+        Self { shared, inner }
+    }
 }
 
 impl ClientConn for FaultyConn {
@@ -382,8 +378,8 @@ impl ClientConn for FaultyConn {
     }
 }
 
-/// Hand what a channel let through to the inner transport, in order: each
-/// frame intact, or the prefix of a frame cut by a disconnect.
+/// Hand what a channel let through to a carrier, in order: each frame
+/// intact, or the prefix of a frame cut by a disconnect.
 fn forward(admission: Admission, mut send: impl FnMut(Delivery)) {
     match admission {
         Admission::Delivered(frames) => frames.into_iter().for_each(|f| send(Delivery::Intact(f))),
@@ -391,17 +387,11 @@ fn forward(admission: Admission, mut send: impl FnMut(Delivery)) {
     }
 }
 
-/// Peek the `kind` byte of an encoded frame
-/// (`[len:4][crc:4][kind:1]…` — index 8).
-fn frame_kind(bytes: &[u8]) -> Option<u8> {
-    bytes.get(8).copied()
-}
-
 /// Honest corruption: flip one bit somewhere past the length prefix (so
 /// framing survives and the checksum — not resynchronization — catches it).
 fn flip_byte(mut bytes: Vec<u8>, rng: &mut SmallRng) -> Vec<u8> {
-    if bytes.len() > 4 {
-        let at = rng.gen_range(4..bytes.len());
+    if bytes.len() > PREFIX {
+        let at = rng.gen_range(PREFIX..bytes.len());
         let bit = rng.gen_range(0..8u8);
         bytes[at] ^= 1u8 << bit;
     }
@@ -413,20 +403,16 @@ fn flip_byte(mut bytes: Vec<u8>, rng: &mut SmallRng) -> Vec<u8> {
 /// Header-only frames (controls, empty payloads) are left alone — there is
 /// nothing semantic to lie about.
 fn rewrite_response(mut bytes: Vec<u8>, rng: &mut SmallRng) -> Vec<u8> {
-    // Layout: [len:4][crc:4][kind:1][client:4][seq:8][key:8][payload…].
-    const PAYLOAD_AT: usize = 4 + 4 + 1 + 4 + 8 + 8;
-    if bytes.len() <= PAYLOAD_AT {
+    let Some(last) = encoded_payload_mut(&mut bytes).last_mut() else {
         return bytes;
-    }
-    let last = bytes.len() - 1;
+    };
     // Flip a low bit of the trailing payload byte: for counter/jam-word
     // (LE u64 values) this perturbs the high-order value byte, yielding
     // answers no honest execution produces; for enum-tag payloads it lands
     // on a tag or value byte. Either way the response decodes differently
     // (or not at all) while the checksum vouches for it.
-    bytes[last] ^= 1u8 << rng.gen_range(0..2u8);
-    let crc = checksum(&bytes[8..]);
-    bytes[4..8].copy_from_slice(&crc.to_le_bytes());
+    *last ^= 1u8 << rng.gen_range(0..2u8);
+    seal(&mut bytes);
     bytes
 }
 

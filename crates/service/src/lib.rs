@@ -24,9 +24,9 @@
 //!   acceptor thread, one reader per connection) selected with
 //!   `Service::builder(..).transport(..)`. Every carrier pushes decoded
 //!   requests into the same per-worker inboxes, which the service owns;
-//!   each request carries its way back, so a socket request is answered
-//!   on the stream it came in on. The seeded fault injector is a wrapper
-//!   over any of them.
+//!   each request carries its way back, and one reply path reads it, so a
+//!   socket request is answered on the stream it came in on. The seeded
+//!   fault injector puts its lanes on either carrier.
 //! * [`Shard`] — a single-owner slice of the key space, lazily
 //!   materializing one tiny (`n = 1`) [`sbu_core::Universal`] per touched
 //!   key. Cheap bulk instance construction is what makes "one universal
@@ -44,7 +44,8 @@
 //!
 //! * [`FaultProfile`] — seeded transport faults (drop, duplicate, corrupt,
 //!   delay, the stream-killing *disconnect*, and the checksum-fixing
-//!   *lie*) injected at the transport seam, counted as `service.inject.*`.
+//!   *lie*) injected on either carrier, requests on their way in and
+//!   replies on their way out, counted as `service.inject.*`.
 //! * [`RetryPolicy`]/[`ServiceError`] — per-request deadlines and one
 //!   retransmission path for every client: an RFC 6298 timer with seeded
 //!   jitter (the policy sets its floor) plus the per-worker FIFO loss

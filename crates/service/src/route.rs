@@ -5,6 +5,11 @@
 //! replayed benchmark agrees on which shard owns a key. Keys are hashed
 //! through a 64-bit finalizer before masking, so adjacent keys (the
 //! common case in generated workloads) spread across shards.
+//!
+//! The router also holds the ownership rule: of `workers` workers, worker
+//! `w` owns every shard `s` with `s % workers == w`, for the life of the
+//! service. Clients and socket readers pick a key's inbox by it, and each
+//! worker builds and indexes its shards by it.
 
 /// splitmix64's output mixing step: a bijective 64-bit finalizer (so hash
 /// routing never collides two distinct keys onto the same mixed value).
@@ -59,6 +64,26 @@ impl ShardMap {
     pub fn shard_of(&self, key: u64) -> usize {
         (mix64(key) & (self.shards - 1) as u64) as usize
     }
+
+    /// The worker, of `workers`, that owns `key`'s shard: shard `s` belongs
+    /// to worker `s % workers`.
+    #[inline]
+    pub(crate) fn worker_of(&self, key: u64, workers: usize) -> usize {
+        self.shard_of(key) % workers
+    }
+
+    /// The shards worker `w` of `workers` owns, in ascending order:
+    /// `w`, `w + workers`, `w + 2·workers`, …
+    pub(crate) fn shards_of(&self, w: usize, workers: usize) -> impl Iterator<Item = usize> {
+        (w..self.shards).step_by(workers)
+    }
+
+    /// Where `key`'s shard sits in its owner's [`shards_of`](Self::shards_of)
+    /// list.
+    #[inline]
+    pub(crate) fn slot_of(&self, key: u64, workers: usize) -> usize {
+        self.shard_of(key) / workers
+    }
 }
 
 #[cfg(test)]
@@ -93,6 +118,29 @@ mod tests {
             let map = ShardMap::new(shards);
             let got = KEYS.map(|key| map.shard_of(key));
             assert_eq!(got, want, "placements at {shards} shards");
+        }
+    }
+
+    #[test]
+    fn every_keys_worker_owns_its_shard() {
+        for (shards, workers) in [(1, 1), (4, 1), (4, 3), (8, 2), (8, 8), (4, 6), (64, 5)] {
+            let map = ShardMap::new(shards);
+            let owned: Vec<Vec<usize>> = (0..workers)
+                .map(|w| map.shards_of(w, workers).collect())
+                .collect();
+            // Every shard has exactly one owner.
+            let mut all: Vec<usize> = owned.concat();
+            all.sort_unstable();
+            assert_eq!(all, (0..shards).collect::<Vec<_>>(), "{shards}/{workers}");
+            for key in (0..1000).chain([u64::MAX, 1 << 63]) {
+                let w = map.worker_of(key, workers);
+                let slot = map.slot_of(key, workers);
+                assert_eq!(
+                    owned[w].get(slot),
+                    Some(&map.shard_of(key)),
+                    "key {key} at {shards} shards, {workers} workers"
+                );
+            }
         }
     }
 

@@ -1,24 +1,28 @@
-//! The thread-per-core server loop, now behind the transport seam.
+//! The thread-per-core server loop.
 //!
 //! Topology: `workers` OS threads, each *owning* a disjoint set of shards
-//! (worker `w` owns every shard `s` with `s % workers == w` — ownership
-//! never moves, so shards need no locks of their own). Clients talk to
-//! workers through the wire protocol over a pluggable transport:
-//! in-process mailboxes by default, a real TCP or Unix-domain socket with
-//! [`ServiceBuilder::transport`], and optionally the seeded fault injector
-//! wrapped around either ([`ServiceBuilder::fault`]). Whatever the
-//! carrier, requests land in one set of per-worker inboxes the service
-//! owns, each already decoded by the carrier it arrived on and carrying
-//! its way back. The worker loop drops a request it cannot serve — not a
-//! request, or an op the spec cannot decode — without answering, and
-//! sends every reply along its request's route: back on the socket stream
-//! the request came in on, or into its client's in-process reply box.
+//! (worker `w` owns every shard `s` with `s % workers == w`, the rule
+//! [`ShardMap`] holds — ownership never moves, so shards need no locks of
+//! their own). Clients talk to workers through the wire protocol over one
+//! of two carriers: in-process mailboxes by default, or a real TCP or
+//! Unix-domain socket with [`ServiceBuilder::transport`], optionally under
+//! the seeded fault injector ([`ServiceBuilder::fault`]). The service
+//! holds the parts directly — the per-worker inboxes, the socket if there
+//! is one — and [`build`](ServiceBuilder::build) makes each client's
+//! connection itself. Whatever the carrier, requests land in the one set
+//! of per-worker inboxes, each already decoded by the carrier it arrived
+//! on and carrying its way back. The worker loop drops a request it
+//! cannot serve — not a request, or an op the spec cannot decode —
+//! without answering, and sends every reply through the one reply path,
+//! which reads the request's route: back on the socket stream the request
+//! came in on, or into its client's in-process reply box.
 //!
 //! The fault-tolerant plane layers four mechanisms over that skeleton:
 //!
-//! * **Lossy transport** — the [`Faulty`](crate::fault::Faulty) wrapper
-//!   drops / duplicates / corrupts / delays / disconnects frames between
-//!   the client handles and the inner transport.
+//! * **Lossy transport** — seeded fault lanes drop / duplicate / corrupt /
+//!   delay / disconnect frames: requests in a connection wrapped around
+//!   each client's own, replies on the reply path before the carrier
+//!   writes them.
 //! * **Client reliability** — [`ServiceClient::call`] carries a hard
 //!   deadline and retransmits on a per-client timer (its floor set by the
 //!   [`RetryPolicy`]) or when a later reply proves a loss, reusing the
@@ -50,13 +54,15 @@
 //! recorded once at shutdown, after every worker has joined.
 
 use crate::client::ServiceClient;
-use crate::fault::{FaultProfile, Faulty, InjectObs};
+use crate::fault::{FaultProfile, Faulty, FaultyConn, InjectObs};
 use crate::retry::RetryPolicy;
 use crate::route::ShardMap;
 use crate::shard::{DurableShard, Shard};
-use crate::socket::{Socket, SocketObs};
+use crate::socket::{Socket, SocketConn, SocketObs};
 use crate::supervise::{KillPlan, KillState, Recovery};
-use crate::transport::{Delivery, InProcess, Inboxes, Request, Transport, TransportConfig};
+use crate::transport::{
+    send_reply, ClientConn, InProcessConn, Inboxes, Mailbox, Request, TransportConfig,
+};
 use crate::wire::{response_frame, WireCodec, KIND_REQUEST};
 use std::collections::{BTreeMap, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -230,39 +236,37 @@ where
         ));
         let inject = InjectObs::register(&registry);
 
-        // One set of worker inboxes, whichever carrier pushes into it.
+        // One set of worker inboxes, whichever carrier pushes into it, and
+        // one reply box per in-process client.
         let inboxes = Arc::new(Inboxes::new(self.workers, self.mailbox_capacity));
-        let inner: Arc<dyn Transport> = match &self.transport {
-            TransportConfig::InProcess => {
-                Arc::new(InProcess::new(Arc::clone(&inboxes), self.clients))
-            }
-            TransportConfig::Tcp(addr) => Arc::new(
+        let boxes: Arc<[Mailbox<Vec<u8>>]> = (0..self.clients).map(|_| Mailbox::new(0)).collect();
+        let socket = match &self.transport {
+            TransportConfig::InProcess => None,
+            TransportConfig::Tcp(addr) => Some(
                 Socket::tcp(addr, map, Arc::clone(&inboxes), socket_obs)
                     .unwrap_or_else(|e| panic!("bind tcp listener on {addr}: {e}")),
             ),
-            TransportConfig::Unix(path) => Arc::new(
+            TransportConfig::Unix(path) => Some(
                 Socket::unix(path, map, Arc::clone(&inboxes), socket_obs)
                     .unwrap_or_else(|e| panic!("bind unix listener on {}: {e}", path.display())),
             ),
         };
-        let transport: Arc<dyn Transport> = match self.fault.filter(|f| !f.is_none()) {
-            Some(profile) => Arc::new(Faulty::new(
-                inner,
+        let faults = self.fault.filter(|f| !f.is_none()).map(|profile| {
+            Arc::new(Faulty::new(
                 profile,
                 self.seed,
                 self.workers,
                 self.clients,
                 inject,
-            )),
-            None => inner,
-        };
+            ))
+        });
 
         let workers = (0..self.workers)
             .map(|w| {
                 let ctx = WorkerCtx {
                     w,
                     workers: self.workers,
-                    shard_ids: (w..self.shards).step_by(self.workers).collect(),
+                    shard_ids: map.shards_of(w, self.workers).collect(),
                     template: template.clone(),
                     map,
                     inboxes: Arc::clone(&inboxes),
@@ -270,17 +274,28 @@ where
                     kill: self.kill,
                     seed: self.seed,
                 };
-                let transport = Arc::clone(&transport);
+                let (boxes, faults) = (Arc::clone(&boxes), faults.clone());
+                let reply = move |request: &Request, bytes: Vec<u8>| {
+                    send_reply(request, bytes, &boxes, faults.as_deref())
+                };
                 let obs = Arc::clone(&obs);
                 std::thread::Builder::new()
                     .name(format!("sbu-service-worker-{w}"))
-                    .spawn(move || supervised_worker::<S>(ctx, transport.as_ref(), &obs))
+                    .spawn(move || supervised_worker::<S>(ctx, &reply, &obs))
                     .expect("spawn worker")
             })
             .collect();
 
         let clients = (0..self.clients)
             .map(|c| {
+                let conn: Box<dyn ClientConn> = match &socket {
+                    Some(socket) => Box::new(SocketConn::dial(socket.endpoint().to_string())),
+                    None => Box::new(InProcessConn::new(c as u32, &inboxes, &boxes)),
+                };
+                let conn: Box<dyn ClientConn> = match &faults {
+                    Some(faults) => Box::new(FaultyConn::new(Arc::clone(faults), conn)),
+                    None => conn,
+                };
                 ServiceClient::new(
                     c as u32,
                     map,
@@ -288,21 +303,19 @@ where
                     self.retry,
                     self.seed,
                     Arc::clone(&obs),
-                    Arc::clone(&transport).connect(c as u32),
+                    conn,
                 )
             })
             .collect();
 
-        let endpoint = transport.endpoint();
         Service {
             map,
             inboxes,
-            transport,
+            socket,
             clients,
             registry,
             obs,
             workers,
-            endpoint,
         }
     }
 }
@@ -326,12 +339,12 @@ where
 pub struct Service<S: WireCodec> {
     map: ShardMap,
     inboxes: Arc<Inboxes>,
-    transport: Arc<dyn Transport>,
+    /// The listener, over a socket transport; `None` in process.
+    socket: Option<Socket>,
     clients: Vec<ServiceClient<S>>,
     registry: sbu_obs::Registry,
     obs: Arc<ServiceObs>,
     workers: Vec<JoinHandle<Vec<ShardStats>>>,
-    endpoint: Option<String>,
 }
 
 /// Everything a worker thread needs, bundled for the spawn closure.
@@ -391,7 +404,7 @@ where
     /// when the transport has one ([`TransportConfig::Tcp`] reports the
     /// actually-bound address, so `tcp://127.0.0.1:0` works).
     pub fn endpoint(&self) -> Option<&str> {
-        self.endpoint.as_deref()
+        self.socket.as_ref().map(Socket::endpoint)
     }
 
     /// Snapshot the service instruments (`service.route`,
@@ -402,12 +415,12 @@ where
         self.registry.snapshot()
     }
 
-    /// Stop the transport, then the inboxes; join the workers once they
-    /// have drained, record `service.shard_imbalance`, and return
+    /// Stop the socket, if any, then the inboxes; join the workers once
+    /// they have drained, record `service.shard_imbalance`, and return
     /// per-shard totals (sorted by shard index). Idempotent; a second call
     /// returns an empty vec.
     pub fn shutdown(&mut self) -> Vec<ShardStats> {
-        self.transport.shutdown();
+        self.socket.iter_mut().for_each(Socket::shutdown);
         self.inboxes.stop();
         let mut stats: Vec<ShardStats> = self
             .workers
@@ -427,7 +440,7 @@ impl<S: WireCodec> Drop for Service<S> {
     fn drop(&mut self) {
         // `shutdown` drains `workers`; this path only fires on an
         // abandoned service (e.g. a panicking test) — stop and detach.
-        self.transport.shutdown();
+        self.socket.iter_mut().for_each(Socket::shutdown);
         self.inboxes.stop();
         for h in self.workers.drain(..) {
             let _ = h.join();
@@ -502,7 +515,7 @@ struct WorkerState<S: WireCodec> {
 /// recover the durable shards and run it again.
 fn supervised_worker<S>(
     ctx: WorkerCtx<S>,
-    transport: &dyn Transport,
+    reply: &dyn Fn(&Request, Vec<u8>),
     obs: &ServiceObs,
 ) -> Vec<ShardStats>
 where
@@ -517,7 +530,7 @@ where
     };
     loop {
         let run = catch_unwind(AssertUnwindSafe(|| {
-            worker_loop::<S>(&ctx, &mut state, transport, obs);
+            worker_loop::<S>(&ctx, &mut state, reply, obs);
         }));
         match run {
             Ok(()) => break,
@@ -551,12 +564,12 @@ where
 
 /// One worker: take one request at a time off its inbox, apply it to the
 /// owning shard (or answer it from the dedup window), and send the
-/// response along the request's route. Returns when the inboxes stop;
-/// unwinds on a seeded kill.
+/// response with `reply`, which reads the request's route. Returns when
+/// the inboxes stop; unwinds on a seeded kill.
 fn worker_loop<S>(
     ctx: &WorkerCtx<S>,
     state: &mut WorkerState<S>,
-    transport: &dyn Transport,
+    reply: &dyn Fn(&Request, Vec<u8>),
     obs: &ServiceObs,
 ) where
     S: WireCodec + Send + Sync,
@@ -578,7 +591,7 @@ fn worker_loop<S>(
         let Ok(op) = S::decode_op(&request.frame.payload) else {
             continue;
         };
-        handle_request::<S>(ctx, state, request, &op, transport, obs);
+        handle_request::<S>(ctx, state, request, &op, reply, obs);
     }
 }
 
@@ -587,7 +600,7 @@ fn handle_request<S>(
     state: &mut WorkerState<S>,
     request: Request,
     op: &S::Op,
-    transport: &dyn Transport,
+    reply: &dyn Fn(&Request, Vec<u8>),
     obs: &ServiceObs,
 ) where
     S: WireCodec + Send + Sync,
@@ -616,14 +629,16 @@ fn handle_request<S>(
     let window = state.dedup.entry(frame.client).or_default();
     if let Some(cached) = window.get(&frame.seq) {
         obs.dedup_hit.incr(w);
-        transport.send_reply(&request, Delivery::Intact(cached.clone()));
+        reply(&request, cached.clone());
         return;
     }
 
-    let shard_id = ctx.map.shard_of(frame.key);
-    debug_assert_eq!(shard_id % ctx.workers, w, "request routed to wrong worker");
-    // Worker w owns shards w, w + workers, w + 2·workers, … in order.
-    let idx = (shard_id - w) / ctx.workers;
+    debug_assert_eq!(
+        ctx.map.worker_of(frame.key, ctx.workers),
+        w,
+        "request routed to wrong worker"
+    );
+    let idx = ctx.map.slot_of(frame.key, ctx.workers);
     let resp = state.shards.apply(idx, frame.key, op);
     obs.route.incr(w);
 
@@ -633,7 +648,7 @@ fn handle_request<S>(
     while window.len() > DEDUP_WINDOW {
         window.pop_first();
     }
-    transport.send_reply(&request, Delivery::Intact(resp_bytes));
+    reply(&request, resp_bytes);
 }
 
 #[cfg(test)]

@@ -1,5 +1,5 @@
 //! The socket transport: a real blocking TCP or Unix-domain-socket
-//! listener behind the transport seam.
+//! listener, and the client connection that dials it.
 //!
 //! Server shape: one acceptor thread polls a non-blocking listener; each
 //! accepted connection gets a reader thread that feeds the stream through
@@ -7,12 +7,13 @@
 //! the service's per-worker inboxes, the same ones in-process clients push
 //! into — the worker/shard loop never learns whether its requests arrived
 //! over a mailbox or a socket. Each inbox entry carries the stream it was
-//! read from, and its reply is written back on that stream, so no
-//! registry maps client ids to streams. A reader blocks in `read(2)`
-//! until bytes or EOF arrive; the acceptor keeps each live reader's stream
-//! and shuts it down at stop, which ends that read. The acceptor lets go
-//! of each reader thread once it has exited, so reconnects do not pile up
-//! finished threads.
+//! read from, and the service's reply path writes its reply back on that
+//! stream, so no registry maps client ids to streams. The service holds
+//! the `Socket` only for its endpoint and to shut it down. A reader blocks
+//! in `read(2)` until bytes or EOF arrive; the acceptor keeps each live
+//! reader's stream and shuts it down at stop, which ends that read. The
+//! acceptor lets go of each reader thread once it has exited, so
+//! reconnects do not pile up finished threads.
 //!
 //! Failure containment: a [`WireError::BadLength`] on a live stream kills
 //! *only that connection* (typed close, counted as `service.conn_drop`);
@@ -38,12 +39,9 @@ use std::time::{Duration, Instant};
 use sbu_obs::Counter;
 
 use crate::route::ShardMap;
-use crate::transport::{ClientConn, ConnEvent, Delivery, Inboxes, Request, Transport};
+use crate::transport::{ClientConn, ConnEvent, Delivery, Inboxes, Request};
 use crate::wire::{busy_frame, FrameDecoder};
 
-/// The longest a client's blocking `read` waits before its wait loop
-/// looks at the clock again.
-const READ_POLL: Duration = Duration::from_millis(25);
 /// How much later than asked a `read` under `SO_RCVTIMEO` may return. The
 /// kernel wakes the read on a scheduler tick: at 250 Hz, 20 reads per
 /// setting on an idle Unix socket blocked a median 8 ms for every timeout
@@ -123,7 +121,7 @@ impl Stream {
     /// mid-write crash: the peer sees the prefix, then EOF. A failed write
     /// means the peer is gone, and its reader ends at the same close; the
     /// client's retransmission goes out on a fresh connection.
-    fn send(&self, delivery: Delivery) {
+    pub(crate) fn send(&self, delivery: Delivery) {
         let _whole = self.writing.lock();
         match delivery {
             Delivery::Intact(bytes) => {
@@ -203,14 +201,14 @@ impl SocketObs {
     }
 }
 
-/// The socket transport's server half. Client connections built through
-/// the transport's `connect` dial the endpoint like any remote peer
-/// would — they share no memory with the server beyond the obs registry.
+/// The socket transport's server half. The service's own clients dial its
+/// [`endpoint`](Self::endpoint) like any remote peer would — they share no
+/// memory with the server beyond the obs registry.
 pub(crate) struct Socket {
     /// Stops the acceptor, which then shuts down and joins the readers.
     stop: Arc<AtomicBool>,
     endpoint: String,
-    acceptor: Mutex<Option<thread::JoinHandle<()>>>,
+    acceptor: Option<thread::JoinHandle<()>>,
     unix_path: Option<PathBuf>,
 }
 
@@ -302,36 +300,26 @@ impl Socket {
         Ok(Self {
             stop,
             endpoint,
-            acceptor: Mutex::new(Some(acceptor)),
+            acceptor: Some(acceptor),
             unix_path,
         })
     }
-}
 
-impl Transport for Socket {
-    fn send_reply(&self, to: &Request, delivery: Delivery) {
-        // Every request a socket reader queues carries its stream.
-        if let Some(stream) = &to.stream {
-            stream.send(delivery);
-        }
+    /// The canonical endpoint string (`tcp://…` / `unix://…`) clients dial.
+    pub(crate) fn endpoint(&self) -> &str {
+        &self.endpoint
     }
 
-    fn connect(self: Arc<Self>, _client: u32) -> Box<dyn ClientConn> {
-        Box::new(SocketConn::dial(self.endpoint.clone()))
-    }
-
-    fn shutdown(&self) {
+    /// Stop accepting, shut down and join every reader, and remove the
+    /// Unix socket file. Idempotent.
+    pub(crate) fn shutdown(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
-        if let Some(acceptor) = self.acceptor.lock().take() {
+        if let Some(acceptor) = self.acceptor.take() {
             let _ = acceptor.join();
         }
         if let Some(path) = &self.unix_path {
             let _ = std::fs::remove_file(path);
         }
-    }
-
-    fn endpoint(&self) -> Option<String> {
-        Some(self.endpoint.clone())
     }
 }
 
@@ -368,7 +356,7 @@ fn spawn_reader(
                 loop {
                     match dec.next_frame() {
                         Ok(Some(frame)) => {
-                            let worker = map.shard_of(frame.key) % inboxes.len();
+                            let worker = map.worker_of(frame.key, inboxes.len());
                             let request = Request {
                                 frame,
                                 stream: Some(Arc::clone(&stream)),
@@ -444,17 +432,13 @@ impl SocketConn {
     /// switched.
     fn stream(&mut self, nonblocking: bool) -> Option<&mut Conn> {
         if self.stream.is_none() {
-            let conn = if let Some(addr) = self.endpoint.strip_prefix("tcp://") {
+            self.stream = if let Some(addr) = self.endpoint.strip_prefix("tcp://") {
                 TcpStream::connect(addr).ok().map(Conn::Tcp)
             } else if let Some(path) = self.endpoint.strip_prefix("unix://") {
                 UnixStream::connect(path).ok().map(Conn::Unix)
             } else {
                 None
             };
-            if let Some(conn) = conn {
-                let _ = conn.set_read_timeout(Some(READ_POLL));
-                self.stream = Some(conn);
-            }
         }
         if self.nonblocking != nonblocking {
             if self.stream.as_ref()?.set_nonblocking(nonblocking).is_err() {
@@ -542,7 +526,7 @@ impl ClientConn for SocketConn {
                 return ConnEvent::Disconnected;
             };
             if !polling {
-                let _ = conn.set_read_timeout(Some((left - RCVTIMEO_GRANULE).min(READ_POLL)));
+                let _ = conn.set_read_timeout(Some(left - RCVTIMEO_GRANULE));
             }
             match conn.read(&mut buf) {
                 Ok(0) => {

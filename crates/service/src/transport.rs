@@ -1,9 +1,8 @@
-//! The transport seam: how requests and replies move between clients and
+//! The byte plane: how requests and replies move between clients and
 //! workers.
 //!
 //! Everything above this module — routing, dedup, retry, supervision —
-//! deals in *frames*; everything below deals in *bytes in motion*. The
-//! crate-private `Transport` trait is the cut between the two:
+//! deals in *frames*; everything below deals in *bytes in motion*:
 //!
 //! ```text
 //!   ServiceClient ──▶ ClientConn::send ──▶ (wire) ──▶ decode ──▶ Inboxes ──▶ worker
@@ -13,34 +12,36 @@
 //!
 //! The request inboxes are not part of any carrier: the service owns one
 //! set of per-worker inboxes (queue, stop flag, high-watermark shed,
-//! durable requeue) and every carrier pushes into it. Three carriers exist:
+//! durable requeue) and every carrier pushes into it. Two carriers exist:
 //!
-//! * [`InProcess`] (here) — the original mailbox plane: its clients push
-//!   straight into the inboxes, and replies travel through lock-and-
-//!   condvar reply boxes standing exactly where a socket would stand.
-//!   Zero syscalls, the baseline for experiment E15.
-//! * `Socket` (in `socket.rs`) — a real blocking TCP or
+//! * in process (here) — the original mailbox plane: each client's
+//!   connection pushes straight into the inboxes, and replies travel
+//!   through lock-and-condvar reply boxes standing exactly where a socket
+//!   would stand. Zero syscalls, the baseline for experiment E15.
+//! * a socket (in `socket.rs`) — a real blocking TCP or
 //!   Unix-domain-socket listener: an acceptor thread plus per-connection
 //!   readers that decode the stream with [`crate::FrameDecoder`] and push
-//!   each frame into the inboxes.
-//! * `Faulty` (in `fault.rs`) — the seeded fault injector, a *wrapper*
-//!   over either carrier: it drops/duplicates/corrupts/delays/truncates
-//!   frames on their way into the inner carrier, so the same fault battery
-//!   runs over mailboxes and over real sockets.
+//!   each frame into the inboxes; clients dial it with
+//!   [`crate::SocketConn`].
 //!
 //! A transport is picked with [`TransportConfig`] on
-//! [`crate::Service::builder`].
+//! [`crate::Service::builder`]. Under a [`crate::FaultProfile`] the seeded
+//! fault injector (`fault.rs`) damages requests in a connection wrapped
+//! around either carrier's, and replies in `send_reply` before the carrier
+//! writes them, so the same fault battery runs over mailboxes and over
+//! real sockets.
 //!
 //! Each carrier decodes a request once, where it arrives: the socket
 //! reader as it reassembles the stream, the in-process send in the
 //! worker's place, so a request that fails its checksum never reaches an
-//! inbox. An inbox entry is the decoded frame plus its way back. Over a
-//! socket that is the stream the frame was read from, and the reply is
-//! written on it; in process it is nothing, and the reply goes to the
-//! frame's client's reply box. An inbox at its high watermark is answered
-//! with a [`KIND_BUSY`](crate::KIND_BUSY) frame to the refused frame's
-//! client on every carrier. Every blob an in-process reply box holds is
-//! exactly one encoded frame.
+//! inbox. An inbox entry is the decoded frame plus its way back, and
+//! `send_reply` is the one function that reads it. Over a socket that is
+//! the stream the frame was read from, and the reply is written on it; in
+//! process it is nothing, and the reply goes to the frame's client's reply
+//! box. An inbox at its high watermark is answered with a
+//! [`KIND_BUSY`](crate::KIND_BUSY) frame to the refused frame's client on
+//! every carrier, past the fault plane. Every blob an in-process reply box
+//! holds is exactly one encoded frame.
 
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
@@ -49,6 +50,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
+use crate::fault::Faulty;
 use crate::socket::Stream;
 use crate::wire::{busy_frame, Frame};
 
@@ -130,28 +132,33 @@ pub(crate) struct Request {
     pub(crate) stream: Option<Arc<Stream>>,
 }
 
-/// The server side of a transport: the reply path, client connections and
-/// the carrier's lifetime. Requests reach the workers through the
-/// service's per-worker inboxes, which every carrier pushes into.
-/// Implementations must be safe to share across worker threads.
-pub(crate) trait Transport: Send + Sync {
-    /// Deliver an encoded reply to the request `to` along its way back.
-    /// Reply paths are never shed — clients drain what they asked for.
-    fn send_reply(&self, to: &Request, delivery: Delivery);
-
-    /// Open a client connection. For socket transports the dial is lazy
-    /// (established on first send), so building clients is cheap.
-    fn connect(self: Arc<Self>, client: u32) -> Box<dyn ClientConn>;
-
-    /// Stop the carrier: join any internal threads and release OS
-    /// resources. Idempotent. The service stops its inboxes after this
-    /// returns.
-    fn shutdown(&self);
-
-    /// The canonical endpoint string (`tcp://…` / `unix://…`) clients
-    /// outside this process can dial, if the transport has one.
-    fn endpoint(&self) -> Option<String> {
-        None
+/// Send the encoded `reply` to `request` back the way the request came:
+/// on the socket stream it was read from, or, in process, into its frame's
+/// client's reply box in `boxes`. Under a fault profile the reply first
+/// passes that client's reply lane in `faults`, and what the lane lets
+/// through goes out, in order. Reply paths are never shed — clients drain
+/// what they asked for.
+pub(crate) fn send_reply(
+    request: &Request,
+    reply: Vec<u8>,
+    boxes: &[Mailbox<Vec<u8>>],
+    faults: Option<&Faulty>,
+) {
+    let client = request.frame.client;
+    let deliver = |delivery| match (&request.stream, delivery) {
+        (Some(stream), delivery) => stream.send(delivery),
+        (None, Delivery::Intact(bytes)) => {
+            if let Some(reply_box) = boxes.get(client as usize) {
+                reply_box.push(bytes);
+            }
+        }
+        // No stream to truncate: the bytes are simply gone, exactly like a
+        // drop (the retry layer recovers either way).
+        (None, Delivery::Truncated(_)) => {}
+    };
+    match faults {
+        Some(faults) => faults.admit_reply(client, reply, deliver),
+        None => deliver(Delivery::Intact(reply)),
     }
 }
 
@@ -310,50 +317,28 @@ impl Inboxes {
     }
 }
 
-/// The in-process carrier: clients push straight into the service's
-/// inboxes, and each client has a plain unbounded reply box.
-pub struct InProcess {
-    inboxes: Arc<Inboxes>,
-    replies: Vec<Mailbox<Vec<u8>>>,
-}
-
-impl InProcess {
-    /// Build the reply boxes for `clients` over the service's `inboxes`.
-    pub(crate) fn new(inboxes: Arc<Inboxes>, clients: usize) -> Self {
-        Self {
-            inboxes,
-            replies: (0..clients).map(|_| Mailbox::new(0)).collect(),
-        }
-    }
-}
-
-impl Transport for InProcess {
-    fn send_reply(&self, to: &Request, delivery: Delivery) {
-        match delivery {
-            Delivery::Intact(bytes) => self.replies[to.frame.client as usize].push(bytes),
-            // No stream to truncate: the bytes are simply gone, exactly
-            // like a drop (the retry layer recovers either way).
-            Delivery::Truncated(_) => {}
-        }
-    }
-
-    fn connect(self: Arc<Self>, client: u32) -> Box<dyn ClientConn> {
-        Box::new(InProcessConn {
-            transport: self,
-            client,
-        })
-    }
-
-    fn shutdown(&self) {
-        // No threads and no OS resources: a reply wait ends at its own
-        // deadline, and the inboxes belong to the service.
-    }
-}
-
-/// One client's view of the in-process transport.
-struct InProcessConn {
-    transport: Arc<InProcess>,
+/// One client's in-process connection: its requests go straight into the
+/// service's inboxes, and its replies come out of its own reply box.
+pub(crate) struct InProcessConn {
     client: u32,
+    inboxes: Arc<Inboxes>,
+    /// Every in-process client's reply box, indexed by client id.
+    boxes: Arc<[Mailbox<Vec<u8>>]>,
+}
+
+impl InProcessConn {
+    /// Client `client`'s connection into `inboxes`, replied to in `boxes`.
+    pub(crate) fn new(
+        client: u32,
+        inboxes: &Arc<Inboxes>,
+        boxes: &Arc<[Mailbox<Vec<u8>>]>,
+    ) -> Self {
+        Self {
+            client,
+            inboxes: Arc::clone(inboxes),
+            boxes: Arc::clone(boxes),
+        }
+    }
 }
 
 impl ClientConn for InProcessConn {
@@ -370,18 +355,17 @@ impl ClientConn for InProcessConn {
             frame,
             stream: None,
         };
-        let Err(refused) = self.transport.inboxes.try_push(worker, request) else {
+        let Err(refused) = self.inboxes.try_push(worker, request) else {
             return;
         };
         // Shed at the watermark: answer `Busy` to the frame's own client,
-        // as the socket reader does.
-        if let Some(replies) = self.transport.replies.get(refused.frame.client as usize) {
-            replies.push(busy_frame(&refused.frame).to_bytes());
-        }
+        // past the fault plane, as the socket reader does.
+        let busy = busy_frame(&refused.frame).to_bytes();
+        send_reply(&refused, busy, &self.boxes, None);
     }
 
     fn recv_until(&mut self, until: Instant) -> ConnEvent {
-        let Some(bytes) = self.transport.replies[self.client as usize].pop_until(until) else {
+        let Some(bytes) = self.boxes[self.client as usize].pop_until(until) else {
             return ConnEvent::Timeout;
         };
         match Frame::decode(&bytes) {

@@ -4,7 +4,8 @@
 //! socket-backed load reports, the cross-client misrouting regressions (a
 //! fault plane carrying one client's frames over another client's stream,
 //! and two streams claiming one client id), a held reply winning over an
-//! expired deadline, and a wait that ends at its deadline.
+//! expired deadline, a wait that ends at its deadline, and a seeded fault
+//! plane that decides the same over a socket as in process.
 
 use sbu_service::loadgen::{self, LoadgenConfig};
 use sbu_service::{
@@ -413,4 +414,43 @@ fn a_socket_wait_ends_at_its_deadline() {
         assert!(Instant::now() < until, "the reply came back late");
     });
     let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn a_seeded_fault_plane_decides_alike_in_process_and_over_a_socket() {
+    // The fault lanes damage frames before either carrier sees them, so a
+    // seed must make the same decisions over mailboxes as over a socket.
+    // One client and one worker in a closed loop make the traffic a
+    // function of the seed, and `timing: false` floors the retransmission
+    // timer at 100 ms, far above any round trip, so only a frame the plane
+    // damaged is retransmitted. A duplicate still in flight at shutdown can
+    // move the `service.inject.*` totals, so they are not compared.
+    let run = |transport| {
+        let config = LoadgenConfig {
+            clients: 1,
+            shards: 4,
+            workers: 1,
+            ops_per_client: 60,
+            keys: 16,
+            transport,
+            seed: 7,
+            timing: false,
+            fault: Some(FaultProfile::lossy()),
+            ..Default::default()
+        };
+        loadgen::run(&config, CounterSpec::new(), |_| CounterOp::Inc)
+    };
+    let path = scratch_socket("alike");
+    let local = run(TransportConfig::InProcess);
+    let remote = run(TransportConfig::Unix(path.clone()));
+    let _ = std::fs::remove_file(&path);
+    assert_eq!((local.failures, remote.failures), (0, 0));
+    assert_eq!(local.shards, remote.shards, "per-shard totals");
+    if cfg!(feature = "obs") {
+        for name in ["service.retry", "service.garbled"] {
+            let (here, there) = (local.metrics.counter(name), remote.metrics.counter(name));
+            assert!(here > 0, "{name} never fired in process");
+            assert_eq!(here, there, "{name}: in process vs over a socket");
+        }
+    }
 }
